@@ -31,16 +31,17 @@ def random_delta(
     database,
     max_value: int = 40,
     draw=None,
+    max_inserts: int = 3,
 ) -> Delta:
     """One random delta against ``database``.
 
     Each relation is touched with probability one half; a touched
-    relation gets up to three inserted rows (values via ``draw``,
-    uniform by default) and, with probability 0.6, a random non-empty
-    subset of its existing rows deleted.  Inserts may duplicate
-    existing rows and deletes may race inserts — the *effective* delta
-    computation downstream is exactly what this distribution
-    exercises.
+    relation gets up to ``max_inserts`` inserted rows (values via
+    ``draw``, uniform by default) and, with probability 0.6, a random
+    non-empty subset of its existing rows deleted.  Inserts may
+    duplicate existing rows and deletes may race inserts — the
+    *effective* delta computation downstream is exactly what this
+    distribution exercises.
     """
     if draw is None:
         draw = uniform_draw
@@ -51,7 +52,7 @@ def random_delta(
             continue
         inserts[name] = {
             tuple(draw(rng, max_value) for _ in range(relation.arity))
-            for _ in range(rng.randint(0, 3))
+            for _ in range(rng.randint(0, max_inserts))
         }
         existing = sorted(relation.tuples)
         if existing and rng.random() < 0.6:

@@ -183,30 +183,41 @@ class Preprocessing:
         for bag in self.decomposition.bags:
             bag_schema = self._ordered(bag.interface) + [bag.variable]
             cover_tables = []
+            whole: list[Table] = []  # atoms that join unprojected
             for trace, _weight in bag.cover:
+                source = self._covering_atom(trace, bag, atom_tables)
+                variables = tuple(self._ordered(trace))
                 cover_tables.append(
-                    self._covering_projection(trace, bag, atom_tables)
+                    self.engine.project(
+                        source, variables, source._positions(variables)
+                    )
                 )
+                if len(trace) == len(source.schema):
+                    whole.append(source)
             if not cover_tables:
                 raise QueryError(
                     f"bag {set(bag.edge)} has an empty fractional cover"
                 )
             table = self.engine.join(cover_tables, bag_schema)
             for exact in enforced_at.get(bag.index, ()):  # exact filters
-                table = self.engine.semijoin(table, exact)
+                # The join already holds only rows of every table it
+                # joined whole: filtering by that same table object is
+                # the identity.  Another atom of equal scope (a
+                # self-join, ``R(x,y), S(x,y)``) is a different object
+                # and still filters.
+                if not any(exact is source for source in whole):
+                    table = self.engine.semijoin(table, exact)
             out.append(PreprocessedBag(bag=bag, table=table))
         return out
 
-    def _covering_projection(
+    def _covering_atom(
         self, trace: frozenset[str], bag: Bag, atom_tables: list[Table]
     ) -> Table:
-        """``π_{e_i}`` of an atom whose scope traces to ``trace`` on the bag."""
+        """The table of an atom whose scope traces to ``trace`` on the
+        bag (its projection ``π_{e_i}`` joins into the bag relation)."""
         for table in atom_tables:
             if frozenset(table.schema) & bag.edge == trace:
-                variables = tuple(self._ordered(trace))
-                return self.engine.project(
-                    table, variables, table._positions(variables)
-                )
+                return table
         raise QueryError(
             f"no atom realizes trace {set(trace)} on bag {set(bag.edge)}"
         )

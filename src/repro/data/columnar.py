@@ -22,7 +22,9 @@ the numpy engine on :func:`numpy_available`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Collection, Iterable, Sequence
+from itertools import chain
 
 try:  # gated dependency: the container image may lack numpy
     import numpy as _np
@@ -73,7 +75,7 @@ class Dictionary:
         """
         self = object.__new__(cls)
         self.values = values
-        self._code = {v: i for i, v in enumerate(values)}
+        self._code = dict(zip(values, range(len(values))))
         return self
 
     def __len__(self) -> int:
@@ -116,6 +118,31 @@ class Dictionary:
         for offset, value in enumerate(fresh):
             self._code[value] = base + offset
         return True
+
+    def renumbered(self, values: Iterable) -> tuple["Dictionary", object]:
+        """A *new* dictionary over this domain plus ``values``, and
+        the int64 array mapping this dictionary's codes into it.
+
+        The path for values :meth:`extend` refuses — they land inside
+        the existing order, so every code above them shifts.  Both
+        value lists are already sorted: the union is one merge of two
+        runs, and an old code moves up by the number of new values
+        below it.  The remap is strictly increasing, so a sorted code
+        matrix gathered through it stays sorted.  Raises ``TypeError``
+        when the combined domain is not totally orderable.
+        """
+        np = _require_numpy()
+        fresh = sorted({v for v in values if v not in self._code})
+        merged = self.values + fresh
+        merged.sort()  # two sorted runs: timsort merges, never re-sorts
+        landing = np.fromiter(
+            (bisect_left(self.values, v) for v in fresh),
+            dtype=np.int64,
+            count=len(fresh),
+        )
+        remap = np.arange(len(self.values), dtype=np.int64)
+        remap += np.searchsorted(landing, remap, side="right")
+        return Dictionary.from_sorted(merged), remap
 
     def remap_to(self, other: "Dictionary"):
         """An int64 array mapping this dictionary's codes into ``other``.
@@ -165,24 +192,24 @@ class ColumnarTable:
     @classmethod
     def from_rows(
         cls,
-        rows: Sequence[tuple],
+        rows: Collection[tuple],
         arity: int,
         dictionary: Dictionary | None = None,
     ) -> "ColumnarTable":
-        """Encode ``rows`` (unique tuples) into a code matrix.
+        """Encode ``rows`` (unique tuples) into a code matrix, in the
+        order ``rows`` iterates.
 
-        Raises ``TypeError`` when the values are not mutually comparable
-        (callers treat that as "fall back to the Python engine").
+        The per-value loop runs inside ``fromiter``/``map``/``chain``,
+        one dictionary probe per value and no interpreter frame per
+        row.  Raises ``TypeError`` when the values are not mutually
+        comparable (callers treat that as "fall back to the Python
+        engine").
         """
         np = _require_numpy()
-        rows = list(rows)
         if dictionary is None:
-            dictionary = Dictionary(
-                value for row in rows for value in row
-            )
-        code = dictionary._code
+            dictionary = Dictionary(chain.from_iterable(rows))
         flat = np.fromiter(
-            (code[value] for row in rows for value in row),
+            map(dictionary._code.__getitem__, chain.from_iterable(rows)),
             dtype=np.int64,
             count=len(rows) * arity,
         )
@@ -217,16 +244,70 @@ class ColumnarTable:
         remap = self.dictionary.remap_to(dictionary)
         return ColumnarTable(remap[self.codes], dictionary)
 
+    def lexsorted(self) -> "ColumnarTable":
+        """The same rows in lexicographic order — the value order,
+        since codes are order-preserving.  Relation mirrors are stored
+        this way; :meth:`spliced` relies on it and preserves it."""
+        np = _require_numpy()
+        if self.arity == 0 or self.nrows < 2:
+            return self
+        order = np.lexsort(self.codes.T[::-1])
+        return ColumnarTable(self.codes[order], self.dictionary)
+
+    def spliced(self, inserts, deletes) -> "ColumnarTable":
+        """A *new* lexsorted table: this one minus ``deletes`` plus
+        ``inserts``.
+
+        Both are code matrices over this table's dictionary;
+        ``deletes`` rows must be present and ``inserts`` rows absent
+        (an effective delta).  ``self`` must be lexsorted: each row's
+        position is one ``searchsorted`` over jointly packed keys, and
+        ``np.delete``/``np.insert`` copy into a fresh matrix, so the
+        table a pinned snapshot still reads is never written.
+        """
+        np = _require_numpy()
+        gone = len(deletes)
+        keys, probes = pack_pair(
+            self.codes,
+            np.concatenate([deletes, inserts], axis=0),
+            max(len(self.dictionary), 1),
+        )
+        codes = self.codes
+        if gone:
+            at = np.searchsorted(keys, probes[:gone])
+            codes = np.delete(codes, at, axis=0)
+            keys = np.delete(keys, at)
+        if len(inserts):
+            order = np.argsort(probes[gone:], kind="stable")
+            at = np.searchsorted(keys, probes[gone:][order])
+            codes = np.insert(codes, at, inserts[order], axis=0)
+        return ColumnarTable(codes, self.dictionary)
+
+
+def common_dictionary(relations) -> Dictionary | None:
+    """The one dictionary every mirror of ``relations`` (name ->
+    Relation) is encoded under; ``None`` when a mirror is missing or
+    they disagree."""
+    mirrors = [rel._columnar for rel in relations.values()]
+    if not mirrors or any(m is None for m in mirrors):
+        return None
+    first = mirrors[0].dictionary
+    if any(m.dictionary is not first for m in mirrors):
+        return None
+    return first
+
 
 def shared_dictionary_encode(relations) -> Dictionary | None:
     """Encode ``relations`` (name -> Relation) against one dictionary.
 
     Builds a single order-preserving :class:`Dictionary` over the union
-    of the relations' active domains and installs a
+    of the relations' active domains and installs a lexsorted
     :class:`ColumnarTable` mirror sharing it on every relation, so every
     downstream cross-table operation (semijoin, join, counting-forest
     remap) short-circuits its dictionary merge on object identity
-    instead of merging + remapping per operation.
+    instead of merging + remapping per operation.  Rows are encoded in
+    set order and sorted as codes; no sorted list of Python tuples is
+    ever built.
 
     Idempotent: when every relation already carries a mirror over one
     common dictionary, that dictionary is returned untouched.  Returns
@@ -237,22 +318,21 @@ def shared_dictionary_encode(relations) -> Dictionary | None:
     if _np is None:
         return None
     relations = dict(relations)
-    mirrors = [rel._columnar for rel in relations.values()]
-    if mirrors and all(m is not None for m in mirrors):
-        first = mirrors[0].dictionary
-        if all(m.dictionary is first for m in mirrors):
-            return first
+    shared = common_dictionary(relations)
+    if shared is not None:
+        return shared
     try:
         dictionary = Dictionary(
-            value
-            for rel in relations.values()
-            for t in rel.tuples
-            for value in t
+            chain.from_iterable(
+                chain.from_iterable(
+                    rel.tuples for rel in relations.values()
+                )
+            )
         )
         encoded = {
             name: ColumnarTable.from_rows(
-                rel.sorted_tuples(), rel.arity, dictionary
-            )
+                rel.tuples, rel.arity, dictionary
+            ).lexsorted()
             for name, rel in relations.items()
         }
     except TypeError:
@@ -262,57 +342,84 @@ def shared_dictionary_encode(relations) -> Dictionary | None:
     return dictionary
 
 
-def extend_shared_dictionary(relations, touched) -> bool:
-    """Incrementally maintain a shared encoding after a mutation.
+def carry_shared_encoding(old, new, delta):
+    """Move a shared encoding forward by ``delta`` instead of
+    re-deriving it: ``(relations, code_stable, rows_encoded)``.
 
-    ``relations`` (name -> Relation) is the *post-mutation* content;
-    the relations outside ``touched`` must still carry columnar
-    mirrors over one common dictionary (they are shared, untouched,
-    with the pre-mutation database).  When every genuinely new domain
-    value sorts after the dictionary's current maximum, the shared
-    dictionary is extended in place (:meth:`Dictionary.extend` —
-    existing codes never renumber, so every untouched mirror stays
-    valid) and only the touched relations are re-encoded against it.
+    ``old`` and ``new`` (name -> Relation) are the content before and
+    after the mutation: untouched relations are the same objects in
+    both, touched ones are fresh in ``new`` and carry no mirror yet.
+    ``delta`` must be *effective* against ``old`` (inserted rows
+    absent, deleted rows present).  Only the delta's rows are encoded
+    in the interpreter (``rows_encoded`` counts them); every old
+    mirror is spliced or gathered as a whole array, and none is
+    written — the old snapshot keeps reading its own.
 
-    Returns ``False`` — leaving all mirrors as they were — when there
-    is no common encoding to extend, a new value lands inside the
-    existing order, or the domain stops being totally orderable; the
-    caller then falls back to a full :func:`shared_dictionary_encode`.
+    * **Code-stable** — every new value sorts after the dictionary's
+      maximum: the dictionary is extended in place
+      (:meth:`Dictionary.extend`), ``new`` itself comes back with the
+      touched mirrors spliced (:meth:`ColumnarTable.spliced`), and
+      untouched mirrors stay valid by identity.
+    * **Renumbering** — a new value lands inside the order: a new
+      dictionary (:meth:`Dictionary.renumbered`) and one gather per
+      mirror, on private relation copies because the shared untouched
+      relations must keep their old-dictionary mirrors for the old
+      snapshot.
+    * **From scratch** — there is no common encoding to carry, or the
+      domain stops being totally orderable: private copies through
+      :func:`shared_dictionary_encode` (which leaves them without
+      mirrors in the unorderable case).
     """
-    if _np is None:
-        return False
-    relations = dict(relations)
-    touched = {name for name in touched if name in relations}
-    untouched = [
-        rel for name, rel in relations.items() if name not in touched
-    ]
-    mirrors = [rel._columnar for rel in untouched]
-    if not mirrors or any(m is None for m in mirrors):
-        return False
-    dictionary = mirrors[0].dictionary
-    if any(m.dictionary is not dictionary for m in mirrors):
-        return False
-    try:
-        if not dictionary.extend(
-            value
-            for name in touched
-            for t in relations[name].tuples
-            for value in t
-        ):
-            return False
-        encoded = {
-            name: ColumnarTable.from_rows(
-                relations[name].sorted_tuples(),
-                relations[name].arity,
-                dictionary,
+    dictionary = None if _np is None else common_dictionary(old)
+    remap = None
+    if dictionary is not None:
+        values = set(
+            chain.from_iterable(
+                chain.from_iterable(delta.inserts.values())
             )
-            for name in touched
+        )
+        if not dictionary.extend(values):
+            try:
+                dictionary, remap = dictionary.renumbered(values)
+            except TypeError:
+                dictionary = None
+    if dictionary is None:
+        private = {
+            name: rel.with_mirror(None) for name, rel in new.items()
         }
-    except TypeError:
-        return False
-    for name, mirror in encoded.items():
-        relations[name]._columnar = mirror
-    return True
+        encoded = shared_dictionary_encode(private) is not None
+        return (
+            private,
+            False,
+            sum(map(len, private.values())) if encoded else 0,
+        )
+
+    def carried(name):
+        mirror = old[name]._columnar
+        if remap is not None:
+            mirror = ColumnarTable(remap[mirror.codes], dictionary)
+        if name in delta.touched:
+            arity = mirror.arity
+
+            def encoded(side):
+                return ColumnarTable.from_rows(
+                    side.get(name, ()), arity, dictionary
+                ).codes
+
+            mirror = mirror.spliced(
+                encoded(delta.inserts), encoded(delta.deletes)
+            )
+        return mirror
+
+    if remap is None:
+        for name in delta.touched:
+            new[name]._columnar = carried(name)
+        return new, True, delta.size()
+    return (
+        {name: rel.with_mirror(carried(name)) for name, rel in new.items()},
+        False,
+        delta.size(),
+    )
 
 
 def pack_keys(columns: Sequence, card: int):

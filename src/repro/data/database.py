@@ -84,13 +84,27 @@ class Database:
 
         delta = Delta.coerce(delta)
         delta.validate_against(self)
-        merged: dict[str, Relation] = dict(self._relations)
+        return self.advanced_by(delta.effective_against(self))
+
+    def advanced_by(self, delta) -> "Database":
+        """:meth:`apply` for a delta that is already validated and
+        *effective* against this database
+        (:meth:`~repro.data.delta.Delta.effective_against`) — what the
+        store establishes before it logs a delta, so the work is not
+        repeated per layer."""
+        return Database(self._advanced_relations(delta))
+
+    def _advanced_relations(self, delta) -> dict[str, Relation]:
+        """This database's relations with each touched one moved
+        forward by its changes (:meth:`Relation.patched
+        <repro.data.relation.Relation.patched>`)."""
+        merged = dict(self._relations)
         for name in delta.touched:
-            old = self._relations[name]
-            merged[name] = Relation(
-                delta.apply_to(name, old.tuples), arity=old.arity
+            merged[name] = merged[name].patched(
+                delta.inserts.get(name, frozenset()),
+                delta.deletes.get(name, frozenset()),
             )
-        return Database(merged)
+        return merged
 
     def validate_for(self, query: JoinQuery) -> None:
         """Check every query symbol is present with the right arity."""
@@ -131,49 +145,50 @@ class EncodedDatabase(Database):
         # shared with another database (e.g. the one extended() was
         # called on) whose own shared encoding must stay intact.
         self._relations = {
-            name: Relation(rel.tuples, arity=rel.arity)
+            name: rel.with_mirror(None)
             for name, rel in self._relations.items()
         }
         self.shared_dictionary = shared_dictionary_encode(self._relations)
-        #: Whether the last construction step reused an existing
-        #: encoding (True only for databases built by the incremental
-        #: path of :meth:`apply`).
+        #: Whether the last construction step kept every existing code
+        #: (True only for databases built by the code-stable path of
+        #: :meth:`apply`).
         self.encoded_incrementally = False
+        #: Rows the last construction step pushed through the
+        #: interpreter-level encoder.
+        self.rows_encoded = (
+            0 if self.shared_dictionary is None else len(self)
+        )
 
-    def apply(self, delta) -> "EncodedDatabase":
-        """A new encoded database with ``delta`` applied, maintaining
-        the shared dictionary incrementally when possible.
+    def advanced_by(self, delta) -> "EncodedDatabase":
+        """A new encoded database with an effective ``delta`` applied,
+        the shared encoding carried forward by the delta
+        (:func:`~repro.data.columnar.carry_shared_encoding`).
 
         When every new domain value sorts after the dictionary's
         current maximum, the shared dictionary is *extended in place*
         — existing codes never renumber, untouched relations keep
-        their columnar mirrors by object identity, and only the
-        mutated relations are re-encoded.  Otherwise (a value lands
-        inside the existing order, or the domain stops being totally
-        orderable) the whole database is re-encoded from scratch,
-        exactly as a fresh construction would.  The result's
-        ``encoded_incrementally`` flag reports which path ran.
+        their columnar mirrors by object identity, and the delta's
+        rows are spliced into the mutated relations' sorted mirrors.
+        A value inside the existing order renumbers: a new dictionary,
+        every mirror gathered into it on private relation copies.  The
+        result's ``encoded_incrementally`` flag reports whether the
+        codes stayed stable.
         """
-        from repro.data.columnar import extend_shared_dictionary
-        from repro.data.delta import Delta
+        from repro.data.columnar import (
+            carry_shared_encoding,
+            common_dictionary,
+        )
 
-        delta = Delta.coerce(delta)
-        delta.validate_against(self)
-        merged: dict[str, Relation] = dict(self._relations)
-        for name in delta.touched:
-            old = self._relations[name]
-            merged[name] = Relation(
-                delta.apply_to(name, old.tuples), arity=old.arity
-            )
-        if self.shared_dictionary is not None and (
-            extend_shared_dictionary(merged, delta.touched)
-        ):
-            out = object.__new__(EncodedDatabase)
-            out._relations = merged
-            out.shared_dictionary = self.shared_dictionary
-            out.encoded_incrementally = True
-            return out
-        return EncodedDatabase(merged)
+        out = object.__new__(EncodedDatabase)
+        (
+            out._relations,
+            out.encoded_incrementally,
+            out.rows_encoded,
+        ) = carry_shared_encoding(
+            self._relations, self._advanced_relations(delta), delta
+        )
+        out.shared_dictionary = common_dictionary(out._relations)
+        return out
 
     def extended(
         self, extra: Mapping[str, Relation | Iterable[tuple]]

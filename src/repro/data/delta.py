@@ -141,18 +141,24 @@ class Delta:
         """This delta minimized against ``database``: inserts of rows
         already present and deletes of rows already absent are dropped
         (per relation, the canonical ``new - old`` / ``old - new``
-        form).  An *effectively* empty delta therefore comes back as
-        ``Delta()`` — the store uses that to make no-op applies skip
-        the version bump instead of invalidating pinned views."""
+        form; a row named on both sides ends up present, so it is an
+        insert when absent and nothing when present).  An
+        *effectively* empty delta therefore comes back as ``Delta()``
+        — the store uses that to make no-op applies skip the version
+        bump instead of invalidating pinned views.
+
+        Costs one membership test per named row: each difference or
+        intersection below iterates the delta's side, never the
+        relation.
+        """
         inserts: dict[str, frozenset[tuple]] = {}
         deletes: dict[str, frozenset[tuple]] = {}
-        for name in self.touched:
-            old = frozenset(database[name].tuples)
-            new = self.apply_to(name, old)
-            if new - old:
-                inserts[name] = new - old
-            if old - new:
-                deletes[name] = old - new
+        for name, rows in self.inserts.items():
+            inserts[name] = rows - database[name].tuples
+        for name, rows in self.deletes.items():
+            deletes[name] = (
+                rows & database[name].tuples
+            ) - self.inserts.get(name, frozenset())
         return Delta(inserts=inserts, deletes=deletes)
 
     # -- wire / log form ---------------------------------------------------

@@ -189,6 +189,7 @@ def database_from_buffers(
     out._relations = relations
     out.shared_dictionary = dictionary
     out.encoded_incrementally = False
+    out.rows_encoded = 0
     return out
 
 

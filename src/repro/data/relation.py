@@ -9,6 +9,7 @@ constants is the natural Python ordering.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 
 from repro.errors import DatabaseError
@@ -20,23 +21,34 @@ class Relation:
     __slots__ = ("_tuples", "_arity", "_sorted", "_columnar")
 
     def __init__(self, tuples: Iterable[tuple], arity: int | None = None):
-        tuple_set = {tuple(t) for t in tuples}
+        tuple_set = frozenset(map(tuple, tuples))
         if arity is None:
             if not tuple_set:
                 raise DatabaseError(
                     "empty relation needs an explicit arity"
                 )
             arity = len(next(iter(tuple_set)))
-        for t in tuple_set:
-            if len(t) != arity:
-                raise DatabaseError(
-                    f"tuple {t} does not have arity {arity}"
-                )
-        self._tuples = frozenset(tuple_set)
+        if tuple_set and set(map(len, tuple_set)) != {arity}:
+            odd = next(t for t in tuple_set if len(t) != arity)
+            raise DatabaseError(
+                f"tuple {odd} does not have arity {arity}"
+            )
+        self._tuples = tuple_set
         self._arity = arity
         self._sorted: list[tuple] | None = None
         # Dictionary-encoded mirror, filled lazily by the numpy engine.
         self._columnar = None
+
+    @classmethod
+    def _make(cls, tuples, arity, sorted_rows, mirror) -> "Relation":
+        """Assemble a relation from parts that are already known good
+        (validated rows, a cache derived from them): no per-row work."""
+        self = object.__new__(cls)
+        self._tuples = tuples
+        self._arity = arity
+        self._sorted = sorted_rows
+        self._columnar = mirror
+        return self
 
     @classmethod
     def from_columnar(cls, mirror) -> "Relation":
@@ -50,12 +62,55 @@ class Relation:
         rows are stored in sorted order, so the decode *is* the sorted
         view.
         """
-        self = object.__new__(cls)
-        self._tuples = None
-        self._arity = mirror.arity
-        self._sorted = None
-        self._columnar = mirror
-        return self
+        return cls._make(None, mirror.arity, None, mirror)
+
+    def with_mirror(self, mirror) -> "Relation":
+        """A private copy of this relation carrying ``mirror`` (or no
+        mirror) instead of its own.
+
+        Mirrors are installed on relation objects in place and a
+        relation is shared by every database version it is unchanged
+        in, so an engine that must re-express the mirror under another
+        dictionary does it on a copy.  The tuple set and the sorted
+        list are immutable once built and stay shared.
+        """
+        return Relation._make(
+            self.tuples if mirror is None else self._tuples,
+            self._arity,
+            self._sorted,
+            mirror,
+        )
+
+    def patched(
+        self, inserts: frozenset[tuple], deletes: frozenset[tuple]
+    ) -> "Relation":
+        """``(self - deletes) | inserts`` as a new relation, for
+        *effective* changes: ``deletes`` present, ``inserts`` absent,
+        rows already validated (what
+        :meth:`~repro.data.delta.Delta.effective_against` produces).
+
+        The set operations run in C, and a sorted list this relation
+        has cached is carried forward by bisection instead of being
+        re-sorted on the next read.  The columnar mirror is not carried
+        here: its dictionary is shared across relations, so the engine
+        moves it (:func:`~repro.data.columnar.carry_shared_encoding`).
+        """
+        tuples = self.tuples
+        if deletes:
+            tuples = tuples - deletes
+        if inserts:
+            tuples = tuples | inserts
+        rows = self._sorted
+        if rows is not None:
+            rows = list(rows)
+            try:
+                for row in deletes:
+                    del rows[bisect_left(rows, row)]
+                for row in inserts:
+                    insort(rows, row)
+            except TypeError:  # a new value the old ones cannot order
+                rows = None
+        return Relation._make(tuples, self._arity, rows, None)
 
     @property
     def arity(self) -> int:

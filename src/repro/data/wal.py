@@ -78,6 +78,16 @@ def _format_line(seq: int, payload: str) -> str:
     return f"{seq} {_checksum(seq, payload)} {len(payload)} {payload}\n"
 
 
+def _snapshot_rows(relation) -> list[list]:
+    """``relation``'s rows for a snapshot record, in a deterministic
+    order: the relation's own sorted order, or by ``repr`` when its
+    values cannot be compared."""
+    try:
+        return [list(row) for row in relation.sorted_tuples()]
+    except TypeError:
+        return sorted((list(row) for row in relation.tuples), key=repr)
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One durable log record (a delta apply or a compaction snapshot)."""
@@ -269,9 +279,7 @@ class WriteAheadLog:
             "kind": "snapshot",
             "db_version": int(db_version),
             "relations": {
-                name: sorted(
-                    (list(row) for row in relation.tuples), key=repr
-                )
+                name: _snapshot_rows(relation)
                 for name, relation in sorted(
                     database.relations.items()
                 )
@@ -451,10 +459,7 @@ class WriteAheadLog:
                 "kind": "snapshot",
                 "db_version": version,
                 "relations": {
-                    name: sorted(
-                        (list(row) for row in relation.tuples),
-                        key=repr,
-                    )
+                    name: _snapshot_rows(relation)
                     for name, relation in sorted(
                         state.relations.items()
                     )

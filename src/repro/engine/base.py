@@ -244,23 +244,31 @@ class Engine(abc.ABC):
         """
 
     def apply_delta(self, database, delta):
-        """``(new_database, incremental)`` after applying ``delta``.
+        """``(new_database, incremental, rows_encoded)`` after applying
+        ``delta``, which the caller has validated and minimized against
+        ``database`` (:meth:`Delta.effective_against
+        <repro.data.delta.Delta.effective_against>`).
 
         ``new_database`` shares every untouched relation object with
-        ``database`` (:meth:`Database.apply
-        <repro.data.database.Database.apply>` structural sharing), so
-        the old database remains a valid immutable snapshot — sessions
-        that captured it keep serving consistent pre-delta answers.
-        ``incremental`` reports whether the engine maintained its
-        per-database preparation in place (e.g. extended a shared
-        dictionary code-stably) instead of redoing it from scratch.
+        ``database`` (:meth:`Database.advanced_by
+        <repro.data.database.Database.advanced_by>` structural
+        sharing), so the old database remains a valid immutable
+        snapshot — sessions that captured it keep serving consistent
+        pre-delta answers.  ``incremental`` reports whether the engine
+        maintained its per-database preparation in place (e.g.
+        extended a shared dictionary code-stably) instead of
+        renumbering or redoing it; ``rows_encoded`` counts the rows
+        that went through an interpreter-level encoder on the way —
+        the delta's own under a carried encoding, never ``|R|``.
 
-        The reference path has no cross-relation encoding to maintain,
-        so structural sharing alone is fully incremental.
+        The reference path has no cross-relation encoding to maintain:
+        structural sharing alone is fully incremental, the mutated
+        relations arrive with their sorted lists already carried
+        forward, and :meth:`encode_database` finds nothing to sort.
         """
-        new_database = database.apply(delta)
+        new_database = database.advanced_by(delta)
         self.encode_database(new_database)
-        return new_database, True
+        return new_database, True, 0
 
     # -- batch access ------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.data.columnar import (
     _MAX_SAFE,
     ColumnarTable,
     Dictionary,
-    extend_shared_dictionary,
+    carry_shared_encoding,
     pack_keys,
     pack_pair,
     shared_dictionary_encode,
@@ -39,9 +39,7 @@ def _columnar(table) -> ColumnarTable:
     """The (cached) columnar encoding of a Table; TypeError if unsortable."""
     ct = table._columnar
     if ct is None:
-        ct = ColumnarTable.from_rows(
-            list(table.rows), len(table.schema)
-        )
+        ct = ColumnarTable.from_rows(table.rows, len(table.schema))
         table._columnar = ct
     return ct
 
@@ -50,8 +48,8 @@ def _relation_columnar(relation) -> ColumnarTable:
     ct = relation._columnar
     if ct is None:
         ct = ColumnarTable.from_rows(
-            relation.sorted_tuples(), relation.arity
-        )
+            relation.tuples, relation.arity
+        ).lexsorted()
         relation._columnar = ct
     return ct
 
@@ -481,13 +479,7 @@ class NumpyEngine(Engine):
             ct = _columnar(table)
         except TypeError:
             return self._fallback.sorted_rows(table)
-        arity = ct.arity
-        if arity == 0 or ct.nrows == 0:
-            return ct.to_rows()
-        order = np.lexsort(
-            tuple(ct.codes[:, c] for c in range(arity - 1, -1, -1))
-        )
-        return ColumnarTable(ct.codes[order], ct.dictionary).to_rows()
+        return ct.lexsorted().to_rows()
 
     def intersect_sorted(self, left, right):
         if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
@@ -628,48 +620,39 @@ class NumpyEngine(Engine):
         shared_dictionary_encode(database.relations)
 
     def apply_delta(self, database, delta):
-        """Maintain the shared dictionary incrementally under a delta.
+        """Carry the shared encoding forward by the delta.
 
         The new database shares untouched relation objects (and their
-        columnar mirrors) with the old one.  When the delta's new
-        domain values all sort after the shared dictionary's maximum,
-        the dictionary is extended in place — code-stable, so every
-        cached mirror, bag index, and counting forest built against it
-        stays valid — and only the mutated relations are re-encoded.
-        Otherwise the whole database is re-encoded from scratch
-        (``incremental=False``), exactly like a fresh session start.
+        columnar mirrors) with the old one, and only the delta's rows
+        are encoded (:func:`~repro.data.columnar.carry_shared_encoding`).
+        When the delta's new domain values all sort after the shared
+        dictionary's maximum, the dictionary is extended in place —
+        code-stable, so every cached mirror, bag index, and counting
+        forest built against it stays valid — and the rows are spliced
+        into the mutated relations' sorted mirrors.  Otherwise every
+        mirror is gathered into a renumbered dictionary on private
+        relation copies (``incremental=False``): the structurally
+        shared untouched relations still back the old snapshot, whose
+        mirrors (and dictionary identity) must stay intact for any
+        in-flight old-version build.
         """
-        from repro.data.database import Database
-        from repro.data.delta import Delta
-        from repro.data.relation import Relation
+        from repro.data.database import Database, EncodedDatabase
 
-        delta = Delta.coerce(delta)
-        new_database = database.apply(delta)
-        incremental = getattr(
-            new_database, "encoded_incrementally", None
+        if isinstance(database, EncodedDatabase):
+            # It carries its own shared encoding forward — doing it
+            # here as well would redo that work and misreport the path.
+            new_database = database.advanced_by(delta)
+            return (
+                new_database,
+                new_database.encoded_incrementally,
+                new_database.rows_encoded,
+            )
+        relations, code_stable, rows_encoded = carry_shared_encoding(
+            database.relations,
+            database.advanced_by(delta).relations,
+            delta,
         )
-        if incremental is not None:
-            # EncodedDatabase.apply already maintained its own shared
-            # encoding (incrementally or via a private full re-encode)
-            # — re-running extension here would redo that work and
-            # misreport the path taken.
-            return new_database, incremental
-        if extend_shared_dictionary(
-            new_database.relations, delta.touched
-        ):
-            return new_database, True
-        # Full re-encode — onto *private* relation copies: the
-        # structurally shared untouched relations still back the old
-        # snapshot, whose mirrors (and dictionary identity) must stay
-        # intact for any in-flight old-version build.
-        private = Database(
-            {
-                name: Relation(rel.tuples, arity=rel.arity)
-                for name, rel in new_database.relations.items()
-            }
-        )
-        shared_dictionary_encode(private.relations)
-        return private, False
+        return Database(relations), code_stable, rows_encoded
 
     # -- batch access ------------------------------------------------------
 

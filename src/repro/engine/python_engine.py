@@ -138,7 +138,10 @@ class PythonEngine(Engine):
 
     def encode_database(self, database) -> None:
         """Warm the per-relation sorted-tuple caches (the only per-query
-        setup the tuple-at-a-time path repeats)."""
+        setup the tuple-at-a-time path repeats).  After an ``apply`` a
+        mutated relation arrives with its list already carried forward
+        (:meth:`Relation.patched <repro.data.relation.Relation.patched>`),
+        so only relations that never had one are sorted here."""
         for relation in database.relations.values():
             try:
                 relation.sorted_tuples()

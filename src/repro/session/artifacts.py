@@ -130,7 +130,12 @@ class StoreStats:
       (validated, then skipped: no version bump, no invalidation);
     * ``incremental_encodes`` / ``full_reencodes`` — whether the
       engine maintained its database preparation in place (shared
-      dictionary extended code-stably) or had to redo it;
+      dictionary extended code-stably) or had to renumber or redo it;
+    * ``rows_encoded`` — rows that went through interpreter-level
+      encoding during :meth:`apply`: the delta's own rows while the
+      encoding is carried forward (exactly 1 for a one-row delta,
+      whatever ``|R|``), every row of the database only when it is
+      encoded from scratch;
     * ``artifacts_carried`` — artifacts re-keyed to the new version
       because their decomposition touches no mutated relation (served
       warm after the delta, zero rebuilds);
@@ -157,6 +162,7 @@ class StoreStats:
     noop_deltas: int = 0
     incremental_encodes: int = 0
     full_reencodes: int = 0
+    rows_encoded: int = 0
     artifacts_carried: int = 0
     artifacts_invalidated: int = 0
     artifacts_retained: int = 0
@@ -176,6 +182,7 @@ class StoreStats:
             "noop_deltas": self.noop_deltas,
             "incremental_encodes": self.incremental_encodes,
             "full_reencodes": self.full_reencodes,
+            "rows_encoded": self.rows_encoded,
             "artifacts_carried": self.artifacts_carried,
             "artifacts_invalidated": self.artifacts_invalidated,
             "artifacts_retained": self.artifacts_retained,
@@ -581,13 +588,14 @@ class ArtifactStore:
         (:meth:`~repro.data.delta.Delta.effective_against`), appended
         to the write-ahead log when one is attached (*before* any
         in-memory change — the durability contract), and then applied:
-        the engine maintains its database preparation
+        the engine moves its database preparation forward by the delta
         (:meth:`~repro.engine.base.Engine.apply_delta` — the numpy
         engine extends the shared dictionary in place when
-        order-preservation allows, re-encoding only mutated
-        relations), and one pass over the caches re-keys every
-        artifact whose declared relations are disjoint from the
-        delta's touched set to the new version (``artifacts_carried``).
+        order-preservation allows and splices the delta's rows into
+        the mutated relations' sorted mirrors), and one pass over the
+        caches re-keys every artifact whose declared relations are
+        disjoint from the delta's touched set to the new version
+        (``artifacts_carried``).
         The rest stop serving the head (``artifacts_invalidated``):
         they are kept under the old version while that version has
         open views (``artifacts_retained``), dropped otherwise.  The
@@ -619,8 +627,8 @@ class ArtifactStore:
                 # Append-before-apply: a crash from here on is repaired
                 # by replay-on-boot, which re-applies this record.
                 self.wal.append_delta(delta, self._db_version + 1)
-            new_database, incremental = self.engine.apply_delta(
-                database, delta
+            new_database, incremental, rows_encoded = (
+                self.engine.apply_delta(database, delta)
             )
             touched = delta.touched
             with self._registry_lock:
@@ -633,6 +641,7 @@ class ArtifactStore:
                     self.stats.incremental_encodes += 1
                 else:
                     self.stats.full_reencodes += 1
+                self.stats.rows_encoded += rows_encoded
                 keep_old = self.snapshots.refs(old) > 0
                 evicted = set(self.snapshots.record(new, new_database))
                 for kind in self.KINDS:

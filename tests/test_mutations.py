@@ -25,6 +25,7 @@ Part of the new-API surface: CI runs this module with
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +38,12 @@ from repro import (
     connect,
     parse_query,
 )
-from repro.chaos.deltas import delta_sequence, random_delta, shrink_deltas
+from repro.chaos.deltas import (
+    delta_sequence,
+    random_delta,
+    shrink_deltas,
+    uniform_draw,
+)
 from repro.data.columnar import numpy_available
 from repro.errors import DatabaseError
 from repro.session import ArtifactStore
@@ -200,6 +206,322 @@ class TestEncodedDatabaseApply:
                 "incremental encode diverges from fresh encode; "
                 f"minimal failing sequence: {minimal!r}"
             )
+
+
+def _str_draw(rng, max_value):
+    return f"v{rng.randint(0, max_value):05d}"
+
+
+def _tuple_draw(rng, max_value):
+    return divmod(rng.randint(0, max_value), 7)
+
+
+def _fraction_draw(rng, max_value):
+    return Fraction(rng.randint(0, max_value), 7)
+
+
+DOMAIN_DRAWS = {
+    "int": uniform_draw,
+    "str": _str_draw,
+    "tuple": _tuple_draw,
+    "fraction": _fraction_draw,
+}
+
+
+def assert_caches_equal_rebuild(database):
+    """Every cache a relation carries equals its from-scratch value:
+    the mirror is the encode of the sorted tuples (stored sorted, one
+    shared dictionary), the sorted list is ``sorted(tuples)``."""
+    import numpy as np
+
+    from repro.data.columnar import ColumnarTable
+
+    dictionary = database.shared_dictionary
+    assert dictionary is not None
+    assert dictionary.values == sorted(set(dictionary.values))
+    assert set(dictionary.values) >= database.domain()
+    for name, relation in database.relations.items():
+        rows = sorted(relation.tuples)
+        mirror = relation._columnar
+        assert mirror.dictionary is dictionary, name
+        rebuilt = ColumnarTable.from_rows(rows, relation.arity, dictionary)
+        assert mirror.codes.dtype == rebuilt.codes.dtype
+        assert np.array_equal(mirror.codes, rebuilt.codes), name
+        assert relation._sorted == rows, name
+
+
+def freeze_version(database):
+    """What a later apply must leave untouched on ``database``: mirror
+    objects and their contents, the dictionary's identity and the
+    codes it had handed out, the sorted lists."""
+    from repro.data.columnar import common_dictionary
+
+    dictionary = common_dictionary(database.relations)
+    return (
+        database,
+        dictionary,
+        None if dictionary is None else list(dictionary.values),
+        {
+            name: (
+                rel,
+                rel._columnar,
+                None if rel._columnar is None else rel._columnar.codes.copy(),
+                rel._sorted,
+                None if rel._sorted is None else list(rel._sorted),
+                rel.tuples,
+            )
+            for name, rel in database.relations.items()
+        },
+    )
+
+
+def assert_version_untouched(frozen):
+    import numpy as np
+
+    from repro.data.columnar import common_dictionary
+
+    database, dictionary, values, relations = frozen
+    assert common_dictionary(database.relations) is dictionary
+    if dictionary is not None:
+        # Extended in place at most: every code it had stays put.
+        assert dictionary.values[: len(values)] == values
+    for name, (rel, mirror, codes, rows, rows_copy, tuples) in (
+        relations.items()
+    ):
+        assert database[name] is rel, name
+        assert rel._columnar is mirror, name
+        if mirror is not None:
+            assert mirror.dictionary is dictionary
+            assert np.array_equal(mirror.codes, codes), name
+        assert rel._sorted is rows and rows == rows_copy, name
+        assert rel.tuples == tuples
+
+
+@needs_numpy
+class TestMergeEqualsRebuild:
+    """The write path moves every relation cache forward by the delta;
+    the law is that nobody can tell: after each delta the carried
+    mirror and sorted list equal a from-scratch rebuild, and the
+    version the delta was applied to is left exactly as it was."""
+
+    @staticmethod
+    def warm(database):
+        for relation in database.relations.values():
+            relation.sorted_tuples()
+        return database
+
+    @pytest.mark.parametrize("batch", [1, 10, 1000])
+    @pytest.mark.parametrize("domain", sorted(DOMAIN_DRAWS))
+    def test_random_streams(self, domain, batch):
+        draw = DOMAIN_DRAWS[domain]
+        rng = random.Random(f"{domain}:{batch}")
+        spread = 10 * max(1, batch // 10)
+        database = self.warm(
+            EncodedDatabase(
+                {
+                    name: {
+                        tuple(draw(rng, spread) for _ in range(arity))
+                        for _ in range(2 * batch)
+                    }
+                    for name, arity in (("R", 2), ("S", 2), ("T", 1))
+                }
+            )
+        )
+        assert_caches_equal_rebuild(database)
+        paths = set()
+        for step in range(12):
+            # A growing range: values past the maximum extend the
+            # dictionary in place, values inside it renumber.
+            delta = random_delta(
+                rng,
+                database,
+                max_value=spread * (step + 2),
+                draw=draw,
+                max_inserts=batch,
+            )
+            frozen = freeze_version(database)
+            expected = {
+                name: delta.apply_to(name, rel.tuples)
+                for name, rel in database.relations.items()
+            }
+            new = database.apply(delta)
+            assert {
+                name: rel.tuples for name, rel in new.relations.items()
+            } == expected
+            assert_caches_equal_rebuild(new)
+            assert_version_untouched(frozen)
+            if new.encoded_incrementally:
+                assert new.shared_dictionary is database.shared_dictionary
+                for name in set(expected) - delta.touched:
+                    assert new[name] is database[name]
+            else:
+                assert (
+                    new.shared_dictionary
+                    is not database.shared_dictionary
+                )
+            assert new.rows_encoded == delta.effective_against(
+                database
+            ).size()
+            paths.add(new.encoded_incrementally)
+            database = new
+        assert paths == {True, False}, "stream missed a path"
+
+    def test_deletes_down_to_empty_and_refill(self):
+        database = self.warm(
+            EncodedDatabase({"R": {(1, 2), (3, 4), (5, 6)}, "S": {(2, 7)}})
+        )
+        for row in [(3, 4), (1, 2), (5, 6)]:
+            frozen = freeze_version(database)
+            database = database.apply(Delta(deletes={"R": {row}}))
+            assert database.encoded_incrementally
+            assert_caches_equal_rebuild(database)
+            assert_version_untouched(frozen)
+        assert len(database["R"]) == 0
+        assert database["R"]._columnar.codes.shape == (0, 2)
+        database = database.apply(
+            Delta(inserts={"R": {(9, 9), (0, 4), (4, 0)}})
+        )
+        assert sorted(database["R"].tuples) == [(0, 4), (4, 0), (9, 9)]
+        assert_caches_equal_rebuild(database)
+
+    def test_unminimised_deltas_through_apply(self):
+        """``EncodedDatabase.apply`` takes deltas as callers write
+        them: a row on both sides, a re-insert of a present row, a
+        delete of an absent one.  The splice only ever sees the
+        effective changes."""
+        database = self.warm(
+            EncodedDatabase({"R": {(1, 2), (3, 4)}, "S": {(2, 7)}})
+        )
+        for delta in (
+            # present on both sides: stays, once
+            Delta(inserts={"R": {(1, 2)}}, deletes={"R": {(1, 2)}}),
+            # absent on both sides: ends up present
+            Delta(inserts={"R": {(8, 8)}}, deletes={"R": {(8, 8)}}),
+            # re-insert of a present row, delete of an absent one
+            Delta(inserts={"R": {(3, 4)}}, deletes={"R": {(7, 7)}}),
+            # a no-op next to a real change, interior value included
+            Delta(
+                inserts={"R": {(1, 2), (2, 5)}, "S": {(2, 7)}},
+                deletes={"R": {(3, 4), (6, 6)}},
+            ),
+        ):
+            frozen = freeze_version(database)
+            expected = delta.apply_to("R", database["R"].tuples)
+            database = database.apply(delta)
+            assert database["R"].tuples == expected
+            assert_caches_equal_rebuild(database)
+            assert_version_untouched(frozen)
+
+    def test_unorderable_value_falls_back_then_recovers(self):
+        database = self.warm(
+            EncodedDatabase({"R": {(1, 2), (3, 4)}, "S": {(2, 7)}})
+        )
+        frozen = freeze_version(database)
+        mixed = database.apply(Delta(inserts={"R": {(5, "five")}}))
+        assert not mixed.encoded_incrementally
+        assert mixed.shared_dictionary is None
+        assert mixed.rows_encoded == 0
+        assert all(
+            rel._columnar is None for rel in mixed.relations.values()
+        )
+        assert mixed["R"].tuples == {(1, 2), (3, 4), (5, "five")}
+        assert mixed["S"] is not database["S"]  # private copies
+        assert_version_untouched(frozen)
+        # Orderable again: there is no mirror to carry, so this is the
+        # from-scratch encoder (every row counted).
+        healed = mixed.apply(Delta(deletes={"R": {(5, "five")}}))
+        assert not healed.encoded_incrementally
+        assert healed.rows_encoded == len(healed) == 3
+        assert_caches_equal_rebuild(self.warm(healed))
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    def test_pinned_view_survives_both_paths(self, engine):
+        """The law ``test_full_reencode_leaves_old_snapshot_mirrors_
+        intact`` states for one path, for both: a version's mirrors,
+        dictionary identity and pinned view are the same before and
+        after a later code-stable *or* renumbering apply."""
+        conn = connect(
+            {"R": {(10, 20), (30, 20)}, "S": {(20, 30), (20, 50)}},
+            engine=engine,
+        )
+        order = ["x", "y", "z"]
+        history = []
+        for delta in (
+            Delta(inserts={"R": {(70, 20)}}),  # past the maximum
+            Delta(inserts={"R": {(15, 20)}}),  # inside the order
+            Delta(deletes={"R": {(10, 20)}}),
+            Delta(inserts={"S": {(20, 99)}, "R": {(12, 20)}}),
+        ):
+            view = conn.prepare(PATH, order=order)
+            history.append(
+                (view, list(view), freeze_version(conn.database))
+            )
+            conn.apply(delta)
+            for view, rows, frozen in history:
+                assert list(view) == rows
+                assert [view.rank(row) for row in rows] == list(
+                    range(len(rows))
+                )
+                assert_version_untouched(frozen)
+        stats = conn.stats()["store"]
+        assert stats["deltas_applied"] == 4
+        if engine == "numpy":
+            assert stats["full_reencodes"] == 2  # 15 and 12 land inside
+            assert stats["rows_encoded"] == 5  # the deltas' own rows
+
+    def test_python_engine_carries_the_sorted_list(self):
+        """Under the reference engine the cache is the sorted list:
+        it arrives on the new relation already merged, so
+        ``encode_database`` finds nothing to sort."""
+        conn = connect(fresh_database(), engine="python")
+        deltas = delta_sequence(11, fresh_database(), 10)
+        for delta in deltas:
+            before = conn.database
+            effective = delta.effective_against(before)
+            expected = before.advanced_by(effective)
+            for name in effective.touched:
+                assert expected[name]._sorted == sorted(
+                    expected[name].tuples
+                )
+            conn.apply(delta)
+            for name, relation in conn.database.relations.items():
+                assert relation._sorted == sorted(relation.tuples)
+
+
+@needs_numpy
+class TestRowsEncodedTripwire:
+    """``apply`` cost is pinned by a count, not a stopwatch: the rows
+    that reach the interpreter-level encoder are the delta's, however
+    large the relation."""
+
+    @pytest.mark.parametrize("rows", [10**3, 10**4, 10**5])
+    def test_one_row_append_encodes_one_row(self, rows):
+        store = ArtifactStore(
+            {
+                "R": {(i, 2 * i) for i in range(rows)},
+                "S": {(i, i + 1) for i in range(100)},
+            },
+            engine="numpy",
+        )
+        assert store.cache_stats()["rows_encoded"] == 0
+        store.apply(Delta(inserts={"R": {(rows, 2 * rows)}}))
+        stats = store.cache_stats()
+        assert stats["rows_encoded"] == 1
+        assert stats["incremental_encodes"] == 1
+        # Present row re-inserted, absent row deleted: nothing to do.
+        store.apply(
+            Delta(inserts={"R": {(0, 0)}}, deletes={"R": {(-1, -1)}})
+        )
+        stats = store.cache_stats()
+        assert stats["rows_encoded"] == 1
+        assert stats["noop_deltas"] == 1
+        # A value below the maximum renumbers every code, and still
+        # only its row is encoded.
+        store.apply(Delta(inserts={"R": {(rows, -5)}}))
+        stats = store.cache_stats()
+        assert stats["rows_encoded"] == 2
+        assert stats["full_reencodes"] == 1
+        assert store.database["R"]._sorted is None  # never materialised
 
 
 class TestVersionedStore:
