@@ -13,7 +13,7 @@ from repro.core.counting import (
     CountingFromDirectAccess,
     PrefixConstraint,
 )
-from repro.core.tasks import boxplot_impl as boxplot, median_impl as median
+from repro.core.tasks import boxplot, median
 from repro.data.generators import functional_path_database
 from repro.query.catalog import path_query
 from repro.query.variable_order import VariableOrder

@@ -20,14 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Repo-root serving-performance trajectory (see :func:`record_serving`).
-SERVING_TRAJECTORY = Path(__file__).parent.parent / "BENCH_serving.json"
 
 
 def active_engine() -> str:
@@ -119,48 +115,3 @@ def report(name: str, title: str, headers: list[str], rows: list[list]):
         json.dumps(payload, indent=2, default=str) + "\n"
     )
     return table
-
-
-def percentiles(samples: list[float]) -> dict:
-    """p50/p95/p99 of ``samples`` (seconds), in microseconds."""
-    ordered = sorted(samples)
-
-    def at(q: float) -> float:
-        index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-        return ordered[index] * 1e6
-
-    return {
-        "p50_us": round(at(0.50)),
-        "p95_us": round(at(0.95)),
-        "p99_us": round(at(0.99)),
-    }
-
-
-def record_serving(entry: dict, path: Path | None = None) -> None:
-    """Append one serving measurement to ``BENCH_serving.json``.
-
-    The repo-root file is a *trajectory*: a JSON list of measurement
-    records (p50/p95/p99 latency, saturation throughput, worker RSS)
-    appended across runs so serving regressions stay visible across
-    re-anchors.  Absolute numbers are only comparable on comparable
-    hosts, so every record carries the engine and the CPU count it was
-    measured under.
-    """
-    target = path or SERVING_TRAJECTORY
-    try:
-        history = json.loads(target.read_text())
-        if not isinstance(history, list):
-            history = []
-    except (OSError, ValueError):
-        history = []
-    entry = dict(entry)
-    entry.setdefault(
-        "recorded_at",
-        time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
-    entry.setdefault("engine", active_engine())
-    entry.setdefault("cpus", os.cpu_count())
-    history.append(entry)
-    target.write_text(
-        json.dumps(history, indent=2, default=str) + "\n"
-    )

@@ -19,13 +19,7 @@ Quickstart — the public API is ``connect`` → ``prepare`` → a view with
     (3, 2, 7)
     >>> [tuple(answer) for answer in view[1:3]]   # slices are lazy views
     [(1, 2, 9), (3, 2, 7)]
-
-The pre-facade entry points (``DirectAccess``, ``Preprocessing``, the
-``repro.core.tasks`` free functions) keep working but are deprecated:
-importing them from ``repro`` emits :class:`DeprecationWarning`.
 """
-
-import warnings as _warnings
 
 from repro.core import (
     AnswerTester,
@@ -75,52 +69,8 @@ from repro.query import (
     parse_query,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
-#: Pre-facade entry points, kept importable behind a deprecation
-#: warning: name -> (module, attribute, replacement hint).
-_DEPRECATED = {
-    "DirectAccess": (
-        "repro.core.access",
-        "DirectAccess",
-        "repro.connect(database).prepare(query, order=...)",
-    ),
-    "Preprocessing": (
-        "repro.core.preprocessing",
-        "Preprocessing",
-        "repro.connect(database).prepare(query, order=...) "
-        "(preprocessing and caching happen behind the connection)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 deprecation shims for the pre-facade entry points.
-
-    The classes themselves are unchanged (the facade routes through
-    them internally, without this warning); only reaching them through
-    the top-level package warns, so new code is nudged to
-    :func:`connect` while old code keeps working.
-    """
-    try:
-        module_name, attribute, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-# DirectAccess and Preprocessing are intentionally absent: they remain
-# importable (behind the __getattr__ deprecation shim) but a star
-# import must not trigger the warning for users who never touch them.
 __all__ = [
     "AccessSession",
     "AnswerTester",

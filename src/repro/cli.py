@@ -11,11 +11,11 @@ Commands:
   (through the :func:`repro.connect` facade) and serve indices /
   medians from the command line.
 * ``session`` — load the relations once, then serve repeated requests
-  read from stdin against one :class:`~repro.Connection`.  Two wire
-  forms, one codepath: the human text grammar (``access x,y 0``) and
-  ``--json`` mode (one :class:`~repro.session.SessionRequest` object
-  per line) both parse into the same request dataclass and run through
-  :func:`repro.session.protocol.execute`.
+  read from stdin against one :class:`~repro.Connection`: one
+  :class:`~repro.session.SessionRequest` JSON object per input line,
+  one :class:`~repro.session.SessionResponse` per output line, run
+  through :func:`repro.session.protocol.execute` — the grammar
+  ``repro serve`` speaks over HTTP.
 * ``serve`` — the same protocol over HTTP: ``--workers`` per-worker
   sessions over one shared artifact store (``POST /v1/session``,
   ``GET /healthz``, ``GET /stats``; spec in ``docs/protocol.md``),
@@ -40,11 +40,8 @@ Examples::
     python -m repro fhtw "Q(a,b,c) :- R(a,b), S(b,c), T(c,a)"
     python -m repro --engine numpy access "Q(x,y) :- R(x,y)" --order y,x \\
         --relation R=data/r.csv --index 0 --median
-    printf 'access x,y 0\\nmedian -\\nstats\\n' | \\
-        python -m repro session "Q(x,y) :- R(x,y)" --relation R=data/r.csv
     printf '{"op": "count"}\\n{"op": "quit"}\\n' | \\
-        python -m repro session --json "Q(x,y) :- R(x,y)" \\
-        --relation R=data/r.csv
+        python -m repro session "Q(x,y) :- R(x,y)" --relation R=data/r.csv
     python -m repro serve --port 8080 --workers 8 \\
         --relation R=data/r.csv --query "Q(x,y) :- R(x,y)"
 """
@@ -195,82 +192,18 @@ def cmd_access(args) -> int:
     return 0
 
 
-_SESSION_HELP = """\
-commands (one per line; order '-' lets the advisor choose):
-  access <order|-> <index> [<index> ...]   answers at the indices
-  median <order|->                          the middle answer
-  page <order|-> <number> <size>            one page of ranked answers
-  count <order|->                           the number of answers
-  rank <order|-> <v1,v2,...>                inverse access: answer -> index
-  plan [prefix]                             the order the advisor would pick
-  insert <relation> <v1,v2> [...]           add rows (bumps db_version)
-  delete <relation> <v1,v2> [...]           remove rows (bumps db_version)
-  db_version                                the database's current version
-  stats                                     cache/work counters
-  help                                      this text
-  quit                                      end the session
-
-with --json, each line is one SessionRequest object instead, e.g.
-  {"op": "access", "order": ["x", "y"], "indices": [0, -1]}
-and each reply one SessionResponse object.\
-"""
-
-
-def _render_text(response) -> list[str]:
-    """Human lines for one protocol response (the legacy text format)."""
-    if not response.ok:
-        return [f"error: {response.error}"]
-    result = response.result
-    op = response.op
-    if op == "stats":
-        return [f"  {key}: {value}" for key, value in result.items()]
-    if op == "plan":
-        return [
-            f"order {','.join(result['order'])}  ι = {result['iota']}"
-        ]
-    if op == "count":
-        return [
-            f"{result['count']} answers over {result['order']}"
-        ]
-    if op == "access":
-        return [
-            f"answers[{index}] = {tuple(answer)}"
-            for index, answer in zip(
-                result["indices"], result["answers"]
-            )
-        ]
-    if op == "median":
-        return [f"median = {tuple(result['answer'])}"]
-    if op == "page":
-        return [f"{tuple(answer)}" for answer in result["answers"]]
-    if op == "rank":
-        rank = result["rank"]
-        found = rank if rank is not None else "not an answer"
-        return [f"rank[{tuple(result['answer'])}] = {found}"]
-    if op in ("insert", "delete"):
-        past = "inserted into" if op == "insert" else "deleted from"
-        return [
-            f"{result['rows']} row(s) {past} {result['relation']}; "
-            f"db_version = {result['db_version']}"
-        ]
-    if op == "db_version":
-        return [f"db_version = {result['db_version']}"]
-    return []
-
-
 def cmd_session(args) -> int:
     """Serve repeated stdin requests against one facade Connection.
 
-    Text grammar and ``--json`` lines both become
-    :class:`~repro.session.SessionRequest` objects and run through the
-    protocol executor — one codepath, two renderings.
+    Each input line is one :class:`~repro.session.SessionRequest` JSON
+    object, each output line its
+    :class:`~repro.session.SessionResponse`, via the protocol executor.
     """
     from repro.errors import ProtocolError, ReproError
     from repro.session.protocol import (
         SessionRequest,
         SessionResponse,
         execute,
-        parse_command,
     )
 
     if args.capacity < 0:
@@ -287,60 +220,30 @@ def cmd_session(args) -> int:
     except ReproError as error:
         raise SystemExit(str(error)) from None
     connection = connect(database, cache=args.capacity)
-    json_mode = args.json
-    if not json_mode:
-        print(
-            f"session ready: {query}  |D|={len(database)}  "
-            f"engine={connection.engine_name}"
-        )
 
     stream = args.commands if args.commands is not None else sys.stdin
     for line in stream:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if not json_mode and stripped.split()[0].lower() == "help":
-            print(_SESSION_HELP)
-            continue
         try:
-            request = (
-                SessionRequest.from_json(stripped)
-                if json_mode
-                else parse_command(stripped)
-            )
+            request = SessionRequest.from_json(stripped)
         except ProtocolError as error:
             response = SessionResponse(
                 op="?", ok=False, error=str(error)
             )
-            print(
-                response.to_json()
-                if json_mode
-                else f"error: {error}"
-            )
+            print(response.to_json())
             continue
         response = execute(connection, request, default_query=query)
-        if json_mode:
-            print(response.to_json())
-        else:
-            for rendered in _render_text(response):
-                print(rendered)
+        print(response.to_json())
         if request.op == "quit" and response.ok:
             break
-    if not json_mode:
-        stats = connection.session.stats
-        print(
-            f"served {stats.requests} requests; "
-            f"{stats.bag_materializations} bag materializations, "
-            f"{stats.forest_builds} forest builds"
-        )
     return 0
 
 
 def cmd_chaos(args) -> int:
     """Run the crash/recovery chaos harness (``repro chaos``)."""
     import json as json_module
-    import os
-    import time
 
     from repro.chaos.runner import run_chaos
 
@@ -359,26 +262,6 @@ def cmd_chaos(args) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
-    if args.record:
-        from pathlib import Path
-
-        target = Path(args.record)
-        try:
-            history = json_module.loads(target.read_text())
-            if not isinstance(history, list):
-                history = []
-        except (OSError, ValueError):
-            history = []
-        entry = dict(report.as_dict())
-        entry["bench"] = "chaos"
-        entry["recorded_at"] = time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        )
-        entry["cpus"] = os.cpu_count()
-        history.append(entry)
-        target.write_text(
-            json_module.dumps(history, indent=2, default=str) + "\n"
-        )
     if args.json:
         print(json_module.dumps(report.as_dict(), indent=2))
     else:
@@ -441,7 +324,6 @@ def cmd_serve(args) -> int:
             shard_backends=args.shard_backend or None,
             wal=args.wal,
             retain_versions=args.retain_versions,
-            strict_views=args.strict_views,
             request_timeout=args.request_timeout,
             chaos=args.chaos,
         )
@@ -683,9 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     session = commands.add_parser(
         "session",
         help="load relations once, serve repeated requests from stdin",
-        description="Serve access/median/page/count requests read from "
-        "stdin against one cached AccessSession.\n\n" + _SESSION_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Serve the JSON session protocol "
+        "(docs/protocol.md) over stdin/stdout against one cached "
+        "connection: one SessionRequest object per input line, e.g. "
+        '{"op": "access", "order": ["x", "y"], "indices": [0, -1]}, '
+        "one SessionResponse object per output line.",
     )
     session.add_argument("query")
     session.add_argument(
@@ -698,13 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity",
         type=int,
         default=64,
-        help="per-cache LRU capacity (default 64)",
-    )
-    session.add_argument(
-        "--json",
-        action="store_true",
-        help="speak the JSON protocol: one SessionRequest object per "
-        "input line, one SessionResponse object per output line",
+        help="per-artifact-kind cache capacity (default 64)",
     )
     session.set_defaults(func=cmd_session, commands=None)
 
@@ -827,12 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "pinned views can keep reading (default 4)",
     )
     serve.add_argument(
-        "--strict-views",
-        action="store_true",
-        help="restore the strict staleness contract: any pinned read "
-        "after a mutation fails with StaleViewError",
-    )
-    serve.add_argument(
         "--read-only",
         action="store_true",
         help="refuse insert/delete/apply with a structured HTTP 403",
@@ -914,13 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the full report as JSON instead of a summary",
-    )
-    chaos.add_argument(
-        "--record",
-        default=None,
-        metavar="PATH",
-        help="append the verdict to this BENCH_serving.json-style "
-        "trajectory file",
     )
     chaos.set_defaults(func=cmd_chaos)
 

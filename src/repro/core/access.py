@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.preprocessing import Preprocessing
 from repro.data.database import Database
-from repro.engine.base import BagIndex as _BagIndex  # noqa: F401 (compat)
+from repro.engine.base import BagIndex
 from repro.errors import OrderError, OutOfBoundsError, QueryError
 from repro.query.query import JoinQuery
 from repro.query.variable_order import VariableOrder
@@ -52,7 +52,7 @@ class CountingForest:
     are order-independent, but only within one such tuple.
     """
 
-    indexes: Mapping[str, _BagIndex]
+    indexes: Mapping[str, BagIndex]
     key: tuple
     database: Database
 
@@ -71,12 +71,10 @@ class DirectAccess:
     a completion order; see :mod:`repro.core.projections` for the
     Theorem 50 wrapper that picks an optimal completion automatically.
 
-    .. deprecated:: 1.3
-        As a *public entry point* (``repro.DirectAccess``): construct
-        views through :func:`repro.connect` /
-        :meth:`repro.Connection.prepare` instead, which adds planning,
-        caching, and ``Sequence`` slice semantics on top.  This class
-        remains the internal engine-room structure behind the facade.
+    This is the engine-room structure behind the facade: application
+    code gets views through :func:`repro.connect` /
+    :meth:`repro.Connection.prepare`, which adds planning, caching,
+    and ``Sequence`` slice semantics on top.
 
     Args:
         query: a join query (all variables free).
@@ -178,7 +176,7 @@ class DirectAccess:
 
     def _build_counts(
         self, forest: CountingForest | None = None
-    ) -> tuple[list[_BagIndex], int]:
+    ) -> tuple[list[BagIndex], int]:
         count = len(self._bags)
         if forest is not None:
             indexes = [
@@ -186,7 +184,7 @@ class DirectAccess:
                 for item in self._bags
             ]
         else:
-            indexes: list[_BagIndex | None] = [None] * count
+            indexes: list[BagIndex | None] = [None] * count
             for i in range(count - 1, -1, -1):
                 item = self._bags[i]
                 table = item.table

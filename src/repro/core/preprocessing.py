@@ -62,11 +62,10 @@ class BagTables:
 class Preprocessing:
     """The full Theorem 10 preprocessing result.
 
-    .. deprecated:: 1.3
-        As a *public entry point* (``repro.Preprocessing``): use
-        :func:`repro.connect` — preprocessing (and its cross-order
-        caching) happens behind :meth:`repro.Connection.prepare`.  The
-        class itself remains the internal engine-room structure.
+    This is the engine-room structure behind the facade: application
+    code uses :func:`repro.connect` — preprocessing (and its
+    cross-order caching) happens behind
+    :meth:`repro.Connection.prepare`.
 
     Args:
         query: the join query.

@@ -12,32 +12,18 @@ binary searches.  Access structures that only implement the scalar
 :class:`~repro.core.counting.SupportsDirectAccess` protocol (e.g. the
 Proposition 35 reductions) degrade transparently to per-index calls.
 
-.. deprecated:: 1.3
-    The module-level free functions (``median``, ``boxplot``, ``page``,
-    ``sample_without_repetition``, ...) are deprecated public entry
-    points: call the corresponding :class:`repro.AnswerView` methods on
-    a view prepared through :func:`repro.connect` instead.  The free
-    functions keep working but emit :class:`DeprecationWarning`; the
-    private ``*_impl`` kernels below are what the facade itself runs.
+These kernels are what :class:`repro.AnswerView` runs: application
+code calls the view's methods (``view.median()``, ``view.page(n, s)``,
+``iter(view)``) on a view prepared through :func:`repro.connect`.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction
 
 from repro.core.counting import SupportsDirectAccess
 from repro.errors import OutOfBoundsError
-
-
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.core.tasks.{name}() is deprecated; use "
-        f"{replacement} on a view from repro.connect(...).prepare(...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _tuples_at(access: SupportsDirectAccess, indices: list[int]) -> list[tuple]:
@@ -48,9 +34,6 @@ def _tuples_at(access: SupportsDirectAccess, indices: list[int]) -> list[tuple]:
     return [access.tuple_at(i) for i in indices]
 
 
-# -- kernels (the facade's AnswerView methods call these directly) --------
-
-
 def _quantile_rank(n: int, fraction: Fraction | float) -> int:
     if n == 0:
         raise OutOfBoundsError("no answers: quantiles undefined")
@@ -59,17 +42,23 @@ def _quantile_rank(n: int, fraction: Fraction | float) -> int:
     return int(Fraction(fraction) * (n - 1))
 
 
-def quantile_impl(
+def quantile(
     access: SupportsDirectAccess, fraction: Fraction | float
 ) -> tuple:
+    """The answer at rank ``⌊fraction * (n-1)⌋`` (nearest-rank, 0-based)."""
     return access.tuple_at(_quantile_rank(len(access), fraction))
 
 
-def median_impl(access: SupportsDirectAccess) -> tuple:
-    return quantile_impl(access, Fraction(1, 2))
+def median(access: SupportsDirectAccess) -> tuple:
+    """The middle answer of the sorted answer array."""
+    return quantile(access, Fraction(1, 2))
 
 
-def boxplot_impl(access: SupportsDirectAccess) -> dict[str, tuple]:
+def boxplot(access: SupportsDirectAccess) -> dict[str, tuple]:
+    """Five-number summary: min, lower quartile, median, upper quartile, max.
+
+    All five ranks are resolved in one batch access.
+    """
     n = len(access)
     fractions = (
         ("min", Fraction(0)),
@@ -86,9 +75,15 @@ def boxplot_impl(access: SupportsDirectAccess) -> dict[str, tuple]:
     }
 
 
-def sample_impl(
+def sample(
     access: SupportsDirectAccess, k: int, seed: int | None = None
 ) -> list[tuple]:
+    """``k`` uniform answers without repetition ([19]'s application).
+
+    Draws ``k`` distinct indices uniformly and resolves them with one
+    batch access.  Raises :class:`~repro.errors.OutOfBoundsError` when
+    ``k`` is negative or exceeds the answer count.
+    """
     n = len(access)
     if k < 0:
         # random.Random.sample would leak a bare ValueError here;
@@ -100,9 +95,16 @@ def sample_impl(
     return _tuples_at(access, rng.sample(range(n), k))
 
 
-def page_impl(
+def page(
     access: SupportsDirectAccess, page_number: int, page_size: int
 ) -> list[tuple]:
+    """Ranked pagination: answers ``[page*size, (page+1)*size)``.
+
+    Raises :class:`~repro.errors.OutOfBoundsError` for a negative
+    ``page_number`` (pages past the end are simply empty, which ends a
+    forward scan cleanly — but a negative page is a caller bug, not an
+    empty page).
+    """
     if page_number < 0:
         raise OutOfBoundsError(
             f"page number must be non-negative, got {page_number}"
@@ -117,7 +119,12 @@ def page_impl(
     return _tuples_at(access, list(range(start, stop)))
 
 
-def enumerate_impl(access: SupportsDirectAccess, chunk: int = 1024):
+def enumerate_in_order(access: SupportsDirectAccess, chunk: int = 1024):
+    """Full ordered enumeration by consecutive accesses ([10]).
+
+    Lazily yields tuples, resolving ``chunk`` indices per batch so the
+    numpy engine vectorizes the scan without materializing the output.
+    """
     if chunk <= 0:
         raise ValueError(f"chunk size must be positive, got {chunk}")
     n = len(access)
@@ -125,89 +132,3 @@ def enumerate_impl(access: SupportsDirectAccess, chunk: int = 1024):
         yield from _tuples_at(
             access, list(range(start, min(start + chunk, n)))
         )
-
-
-# -- deprecated public entry points ---------------------------------------
-
-
-def answer_count(access: SupportsDirectAccess) -> int:
-    """The number of answers (array length).
-
-    .. deprecated:: 1.3  Use ``len(view)``.
-    """
-    _deprecated("answer_count", "len(view)")
-    return len(access)
-
-
-def quantile(
-    access: SupportsDirectAccess, fraction: Fraction | float
-) -> tuple:
-    """The answer at rank ``⌊fraction * (n-1)⌋`` (nearest-rank, 0-based).
-
-    .. deprecated:: 1.3  Use :meth:`repro.AnswerView.quantile`.
-    """
-    _deprecated("quantile", "AnswerView.quantile(fraction)")
-    return quantile_impl(access, fraction)
-
-
-def median(access: SupportsDirectAccess) -> tuple:
-    """The middle answer of the sorted answer array.
-
-    .. deprecated:: 1.3  Use :meth:`repro.AnswerView.median`.
-    """
-    _deprecated("median", "AnswerView.median()")
-    return median_impl(access)
-
-
-def boxplot(access: SupportsDirectAccess) -> dict[str, tuple]:
-    """Five-number summary: min, lower quartile, median, upper quartile, max.
-
-    All five ranks are resolved in one batch access.
-
-    .. deprecated:: 1.3  Use :meth:`repro.AnswerView.boxplot`.
-    """
-    _deprecated("boxplot", "AnswerView.boxplot()")
-    return boxplot_impl(access)
-
-
-def sample_without_repetition(
-    access: SupportsDirectAccess, k: int, seed: int | None = None
-) -> list[tuple]:
-    """``k`` uniform answers without repetition ([19]'s application).
-
-    Draws ``k`` distinct indices uniformly and resolves them with one
-    batch access.  Raises :class:`~repro.errors.OutOfBoundsError` when
-    ``k`` is negative or exceeds the answer count.
-
-    .. deprecated:: 1.3  Use :meth:`repro.AnswerView.sample`.
-    """
-    _deprecated("sample_without_repetition", "AnswerView.sample(k, seed)")
-    return sample_impl(access, k, seed)
-
-
-def page(
-    access: SupportsDirectAccess, page_number: int, page_size: int
-) -> list[tuple]:
-    """Ranked pagination: answers ``[page*size, (page+1)*size)``.
-
-    Raises :class:`~repro.errors.OutOfBoundsError` for a negative
-    ``page_number`` (pages past the end are simply empty, which ends a
-    forward scan cleanly — but a negative page is a caller bug, not an
-    empty page).
-
-    .. deprecated:: 1.3  Use :meth:`repro.AnswerView.page`.
-    """
-    _deprecated("page", "AnswerView.page(number, size)")
-    return page_impl(access, page_number, page_size)
-
-
-def enumerate_in_order(access: SupportsDirectAccess, chunk: int = 1024):
-    """Full ordered enumeration by consecutive accesses ([10]).
-
-    Lazily yields tuples, resolving ``chunk`` indices per batch so the
-    numpy engine vectorizes the scan without materializing the output.
-
-    .. deprecated:: 1.3  Use ``iter(view)``.
-    """
-    _deprecated("enumerate_in_order", "iter(view)")
-    return enumerate_impl(access, chunk)

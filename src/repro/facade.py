@@ -50,6 +50,7 @@ from repro.errors import (
     StaleViewError,
 )
 from repro.query.parser import parse_query
+from repro.session.artifacts import ArtifactStore
 from repro.session.session import AccessSession
 
 
@@ -61,7 +62,6 @@ def connect(
     cache_slack: Fraction | int | float = 0,
     timeout: float = 30.0,
     retain_versions: int | None = None,
-    strict_views: bool = False,
 ):
     """Open a connection over a database — local or served over HTTP.
 
@@ -101,10 +101,6 @@ def connect(
             keeps, so views prepared before a mutation keep serving
             (see :class:`~repro.session.mvcc.SnapshotPlane`; local
             connections only).
-        strict_views: opt-in strict staleness — any read of a view
-            pinned to a non-head version raises
-            :class:`~repro.errors.StaleViewError` (the pre-MVCC
-            contract; local connections only).
     """
     if isinstance(database, str):
         from repro.server.client import HTTPConnection
@@ -114,30 +110,26 @@ def connect(
             or cache != 64
             or cache_slack != 0
             or retain_versions is not None
-            or strict_views
         ):
             raise ReproError(
-                "engine/cache/cache_slack/retain_versions/strict_views "
-                "are server-side settings; set them where `repro "
-                "serve` runs"
+                "engine/cache/cache_slack/retain_versions are "
+                "server-side settings; set them where `repro serve` "
+                "runs"
             )
         return HTTPConnection(database, timeout=timeout)
-    if not isinstance(database, Database):
-        database = Database(database)
     if engine is None:
         # A fresh instance of the active engine's kind: connection-local
         # op counters, no shared mutable state with other connections.
         engine = get_engine().name
-    return Connection(
-        AccessSession(
-            database,
-            engine=engine,
-            capacity=cache,
-            cache_slack=cache_slack,
-            retain_versions=retain_versions,
-            strict_views=strict_views,
-        )
+    store = ArtifactStore(
+        database,
+        engine=engine,
+        capacity=cache,
+        retain_versions=retain_versions,
     )
+    connection = Connection(store.session(cache_slack))
+    connection._store = store
+    return connection
 
 
 class Connection:
@@ -159,6 +151,11 @@ class Connection:
 
     def __init__(self, session: AccessSession):
         self._session = session
+        # The store this connection built and therefore clears —
+        # :func:`connect` sets it.  A per-worker connection attached to
+        # a shared store leaves it ``None``: it must not wipe its
+        # siblings' artifacts.
+        self._store: ArtifactStore | None = None
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -172,12 +169,16 @@ class Connection:
     def close(self) -> None:
         """Drop the caches and refuse further ``prepare`` calls."""
         if not self._closed:
-            self._session.clear()
+            self._clear()
             self._closed = True
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def _clear(self) -> None:
+        if self._store is not None:
+            self._store.clear()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -238,10 +239,10 @@ class Connection:
         their cached artifacts reused).  Views prepared before the
         delta keep serving their MVCC snapshot while it stays
         retained; :class:`~repro.errors.StaleViewError` is raised
-        only once the snapshot is evicted (or always, under
-        ``strict_views``).  A delta that changes nothing *effective*
-        (every insert already present, every delete already absent)
-        is a no-op: no version bump, current version returned.
+        only once the snapshot is evicted.  A delta that changes
+        nothing *effective* (every insert already present, every
+        delete already absent) is a no-op: no version bump, current
+        version returned.
         """
         self._check_open()
         return self._session.apply(delta)
@@ -281,7 +282,7 @@ class Connection:
     def clear_cache(self) -> None:
         """Drop every cached artifact (counters are kept)."""
         self._check_open()
-        self._session.clear()
+        self._clear()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -446,23 +447,23 @@ class WindowedAnswers(Sequence):
 
     def median(self) -> tuple:
         """The middle answer of this view."""
-        return tasks.median_impl(self)
+        return tasks.median(self)
 
     def quantile(self, fraction: Fraction | float) -> tuple:
         """The answer at rank ``⌊fraction * (len-1)⌋`` (nearest-rank)."""
-        return tasks.quantile_impl(self, fraction)
+        return tasks.quantile(self, fraction)
 
     def boxplot(self) -> dict[str, tuple]:
         """Five-number summary, resolved in one batch access."""
-        return tasks.boxplot_impl(self)
+        return tasks.boxplot(self)
 
     def page(self, page_number: int, page_size: int) -> list[tuple]:
         """Ranked pagination: answers ``[page*size, (page+1)*size)``."""
-        return tasks.page_impl(self, page_number, page_size)
+        return tasks.page(self, page_number, page_size)
 
     def sample(self, k: int, seed: int | None = None) -> list[tuple]:
         """``k`` uniform answers without repetition, one batch access."""
-        return tasks.sample_impl(self, k, seed)
+        return tasks.sample(self, k, seed)
 
     def to_list(self) -> list[tuple]:
         """Materialize the view (chunked batches under the hood)."""

@@ -13,8 +13,9 @@ same bounded depth-aware dispatch, same backends, same wire shapes.
 Connections are cheap (a coroutine and a buffer, no thread), so
 thousands of keep-alive clients can sit open while at most
 ``workers × queue_depth`` requests are actually admitted; the gap
-between the two fronts is measured by
-``benchmarks/bench_procs.py --connections``.
+between the two fronts is measured by the ledger's traced ladder
+(``benchmarks/ledger/run.py --trace 1``: ``server.threads.*`` vs
+``server.aio.*``).
 
 Framing is the simple profile the session protocol needs: heads are
 read with ``readuntil(b"\\r\\n\\r\\n")`` (bounded by
@@ -127,7 +128,6 @@ class AsyncReproServer:
         shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
-        strict_views: bool = False,
         chaos: str | None = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
@@ -156,7 +156,6 @@ class AsyncReproServer:
             shard_backends=shard_backends,
             wal=wal,
             retain_versions=retain_versions,
-            strict_views=strict_views,
             chaos=chaos,
         )
         self.verbose = verbose

@@ -86,7 +86,7 @@ class _KeepAlivePool:
 
     ``opened`` counts sockets ever opened — the keep-alive win is
     ``opened`` staying flat while request counts grow (asserted by
-    ``benchmarks/bench_server.py --quick``).
+    ``tests/test_mutations.py``, ``TestOverTheWire``).
     """
 
     MAX_IDLE = 4

@@ -76,7 +76,6 @@ from repro.session.protocol import (
     SessionResponse,
     execute,
 )
-from repro.session.session import AccessSession
 
 #: Route of the one serving endpoint (POST).
 SESSION_ROUTE = "/v1/session"
@@ -227,8 +226,6 @@ class ServingCore:
             read-only).
         retain_versions: MVCC snapshot window of the shared store
             (``None`` → :data:`repro.session.mvcc.DEFAULT_RETAIN`).
-        strict_views: restore the fail-on-any-mutation staleness
-            contract for pinned reads.
     """
 
     def __init__(
@@ -250,7 +247,6 @@ class ServingCore:
         shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
-        strict_views: bool = False,
         chaos: str | None = None,
     ):
         if workers < 1:
@@ -332,7 +328,6 @@ class ServingCore:
             capacity=capacity,
             db_version=db_version,
             retain_versions=retain_versions,
-            strict_views=strict_views,
             wal=self.wal,
         )
         self.default_query = default_query
@@ -393,11 +388,7 @@ class ServingCore:
         else:
             self.workers = workers
             self._connections = [
-                Connection(
-                    AccessSession(
-                        store=self.store, cache_slack=cache_slack
-                    )
-                )
+                Connection(self.store.session(cache_slack))
                 for _ in range(workers)
             ]
             self._dispatcher = LocalDispatcher(
@@ -755,8 +746,8 @@ class ReproServer:
             one per range shard (read-only; needs ``default_query``).
         wal: write-ahead-log path — replayed at boot, appended before
             every apply (see :class:`ServingCore`).
-        retain_versions / strict_views: MVCC snapshot window / strict
-            staleness of the shared store (see :class:`ServingCore`).
+        retain_versions: MVCC snapshot window of the shared store
+            (see :class:`ServingCore`).
         request_timeout: socket read/write timeout per connection,
             seconds — stalled clients lose the connection instead of
             pinning a serving thread.
@@ -788,7 +779,6 @@ class ReproServer:
         shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
-        strict_views: bool = False,
         chaos: str | None = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
@@ -810,7 +800,6 @@ class ReproServer:
             shard_backends=shard_backends,
             wal=wal,
             retain_versions=retain_versions,
-            strict_views=strict_views,
             chaos=chaos,
         )
         self.verbose = verbose
@@ -961,7 +950,6 @@ def serve(
     shard_backends: list[str] | None = None,
     wal: str | None = None,
     retain_versions: int | None = None,
-    strict_views: bool = False,
     chaos: str | None = None,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
 ) -> ReproServer:
@@ -990,7 +978,6 @@ def serve(
         shard_backends=shard_backends,
         wal=wal,
         retain_versions=retain_versions,
-        strict_views=strict_views,
         chaos=chaos,
         request_timeout=request_timeout,
     )

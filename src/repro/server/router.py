@@ -155,7 +155,6 @@ class ProcessBackend:
             # reads behave identically wherever they land; the WAL
             # stays supervisor-only (one log, one appender).
             retain_versions=self.store.snapshots.retain,
-            strict_views=self.store.strict_views,
             chaos=self._chaos,
         )
 

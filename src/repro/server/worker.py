@@ -79,7 +79,6 @@ class WorkerSpec:
     #: reads behave the same on whichever worker they land.  Workers
     #: never carry a WAL — the supervisor's store is the one appender.
     retain_versions: int | None = None
-    strict_views: bool = False
     #: A chaos spec (:mod:`repro.chaos.faults` grammar) armed at boot,
     #: so injected worker processes inherit the supervisor's plan even
     #: when ``REPRO_CHAOS`` is not in the environment.
@@ -191,7 +190,6 @@ def _boot(spec: WorkerSpec, pipe):
     """Attach the database and assemble the serving stack."""
     from repro.facade import Connection
     from repro.session.artifacts import ArtifactStore
-    from repro.session.session import AccessSession
 
     attachments = []
     if spec.database is not None:
@@ -208,7 +206,6 @@ def _boot(spec: WorkerSpec, pipe):
         capacity=spec.capacity,
         db_version=spec.db_version,
         retain_versions=spec.retain_versions,
-        strict_views=spec.strict_views,
     )
     plane = PlaneClient(
         pipe=pipe,
@@ -222,8 +219,7 @@ def _boot(spec: WorkerSpec, pipe):
     plane.store = store
     plane.attachments.extend(attachments)
     store.plane = plane
-    session = AccessSession(store=store, cache_slack=spec.cache_slack)
-    return store, plane, Connection(session)
+    return store, plane, Connection(store.session(spec.cache_slack))
 
 
 def worker_main(spec: WorkerSpec, pipe) -> None:

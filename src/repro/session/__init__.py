@@ -1,7 +1,7 @@
 """Serving layer: amortized direct access across repeated requests.
 
-:class:`AccessSession` owns a database, pins an execution engine, and
-shares dictionary encodings, materialized bag relations, and counting
+:class:`AccessSession` fronts an :class:`ArtifactStore` and shares
+dictionary encodings, materialized bag relations, and counting
 forests between every request that can legally reuse them (same
 decomposition, same engine) — see :mod:`repro.session.session`.  It is
 the engine room behind the public facade (:func:`repro.connect`).
@@ -14,8 +14,8 @@ sessions (the concurrency backbone of ``repro serve``).
 :mod:`repro.session.protocol` defines the versioned, JSON-serializable
 request/response shapes (:class:`SessionRequest` /
 :class:`SessionResponse`) that every transport — the ``repro session``
-CLI's text grammar, its ``--json`` mode, and the HTTP server
-(:mod:`repro.server`) alike — funnels through one executor.
+CLI's JSON lines and the HTTP server (:mod:`repro.server`) alike —
+funnels through one executor.
 """
 
 from repro.session.artifacts import ArtifactStore, StoreStats

@@ -54,8 +54,7 @@ Head-invalidated artifacts are kept under their old version while that
 version has open views (``artifacts_retained``) and garbage-collected
 when its last view closes or the version leaves the window
 (``artifacts_gcd``).  :class:`~repro.errors.StaleViewError` survives
-only as the opt-in ``strict_views`` mode plus the fallback for reads
-of an *evicted* snapshot.
+only as the fallback for reads of an *evicted* snapshot.
 
 With a :class:`~repro.data.wal.WriteAheadLog` attached (``wal=``),
 every effective delta is appended — checksummed and fsynced — *before*
@@ -212,9 +211,6 @@ class ArtifactStore:
             :data:`~repro.session.mvcc.DEFAULT_RETAIN`); open views
             extend a version's lifetime beyond the window until their
             last close.
-        strict_views: opt-in strict mode — any read of a non-head
-            version raises :class:`~repro.errors.StaleViewError`
-            (the pre-MVCC contract).
         wal: an optional :class:`~repro.data.wal.WriteAheadLog`;
             :meth:`apply` appends every effective delta to it *before*
             the in-memory apply.
@@ -233,7 +229,6 @@ class ArtifactStore:
         capacity: int | None = 64,
         db_version: int = 0,
         retain_versions: int | None = None,
-        strict_views: bool = False,
         wal=None,
     ):
         if not isinstance(database, Database):
@@ -243,7 +238,6 @@ class ArtifactStore:
         # start at the supervisor's current version or clients' pinned
         # views would cross wires (default 0 = a brand-new database).
         self._db_version = db_version
-        self.strict_views = bool(strict_views)
         self.wal = wal
         self.snapshots = SnapshotPlane(
             DEFAULT_RETAIN if retain_versions is None else retain_versions
@@ -314,18 +308,11 @@ class ArtifactStore:
     def database_at(self, version: int) -> Database:
         """The retained database for ``version`` — the head, or an
         MVCC snapshot.  Raises :class:`~repro.errors.StaleViewError`
-        when the snapshot was evicted, or (for non-head versions) when
-        the store runs in ``strict_views`` mode."""
+        when the snapshot was evicted."""
         self._drain_releases()
         with self._registry_lock:
             if version == self._db_version:
                 return self._database
-            if self.strict_views:
-                raise StaleViewError(
-                    f"db_version {version} is not the head "
-                    f"({self._db_version}) and this store runs in "
-                    "strict mode; re-prepare the query"
-                )
             database = self.snapshots.get(version)
             if database is None:
                 raise StaleViewError(
@@ -338,13 +325,11 @@ class ArtifactStore:
 
     def is_readable(self, version: int) -> bool:
         """Whether a view pinned at ``version`` may still serve: the
-        head, or a retained snapshot outside strict mode."""
+        head, or a retained snapshot."""
         self._drain_releases()
         with self._registry_lock:
             if version == self._db_version:
                 return True
-            if self.strict_views:
-                return False
             return version in self.snapshots
 
     def pin_version(self, version: int) -> bool:
@@ -392,7 +377,7 @@ class ArtifactStore:
         attached to this store (own counters, shared artifacts)."""
         from repro.session.session import AccessSession
 
-        return AccessSession(store=self, cache_slack=cache_slack)
+        return AccessSession(self, cache_slack)
 
     # -- the build protocol ------------------------------------------------
 

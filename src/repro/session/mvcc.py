@@ -20,9 +20,7 @@ instead:
   with no views falls out of the window — the snapshot is dropped and
   the store garbage-collects the artifacts cached under it;
 * :class:`~repro.errors.StaleViewError` remains only as the fallback
-  for reads of an *evicted* version, plus the store's opt-in
-  ``strict_views`` mode that restores the old fail-on-any-mutation
-  contract.
+  for reads of an *evicted* version.
 
 The plane itself is deliberately lock-free: every call happens under
 the owning store's registry lock (pin/release arrive through the

@@ -1,8 +1,8 @@
 """The session wire protocol: versioned, JSON-serializable requests.
 
 One request/response shape shared by every transport: the ``repro
-session`` CLI parses its legacy text grammar *and* its ``--json`` mode
-into the same :class:`SessionRequest`, and a single executor
+session`` CLI reads one :class:`SessionRequest` JSON object per stdin
+line, ``repro serve`` one per HTTP POST, and a single executor
 (:func:`execute`) serves both against a facade
 :class:`~repro.facade.Connection` — there is exactly one codepath from
 a request to an answer.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from repro.data.io import parse_cell
 from repro.errors import ProtocolError, ReproError
 
 #: Version of the request/response shapes this module speaks.
@@ -329,9 +328,11 @@ class SessionResponse:
         if not isinstance(data, dict):
             raise ProtocolError("response must be a JSON object")
         version = data.get("version", PROTOCOL_VERSION)
-        if not isinstance(version, int) or version > PROTOCOL_VERSION:
+        if not isinstance(version, int) or isinstance(version, bool):
+            raise ProtocolError("version must be an integer")
+        if version > PROTOCOL_VERSION:
             raise ProtocolError(
-                f"response speaks protocol {version!r}, this client "
+                f"response speaks protocol {version}, this client "
                 f"speaks {PROTOCOL_VERSION}"
             )
         op = data.get("op")
@@ -356,95 +357,6 @@ class SessionResponse:
         except json.JSONDecodeError as error:
             raise ProtocolError(f"bad JSON response: {error}") from None
         return cls.from_dict(data)
-
-
-# -- the legacy text grammar ----------------------------------------------
-
-
-def parse_command(line: str) -> SessionRequest:
-    """One line of the ``repro session`` text grammar, as a request.
-
-    Raises :class:`~repro.errors.ProtocolError` on malformed or unknown
-    commands; blank lines, comments, and ``help`` are transport
-    concerns and never reach this parser.
-    """
-    words = line.split()
-    if not words:
-        raise ProtocolError("empty command")
-    command, rest = words[0].lower(), words[1:]
-
-    def order_of(token: str):
-        if token == "-":
-            return None
-        return tuple(v.strip() for v in token.split(","))
-
-    def rows_of(tokens) -> tuple[tuple, ...]:
-        if not tokens:
-            raise ProtocolError("need at least one row (v1,v2,...)")
-        return tuple(
-            tuple(parse_cell(cell) for cell in token.split(","))
-            for token in tokens
-        )
-
-    try:
-        if command in ("quit", "exit"):  # repro: noqa[REG-OPS] -- text-grammar alias of quit; OPS registers canonical ops only
-            return SessionRequest(op="quit")
-        if command == "stats":
-            return SessionRequest(op="stats")
-        if command == "db_version":
-            return SessionRequest(op="db_version")
-        if command in ("insert", "delete"):
-            relation, *row_tokens = rest
-            return SessionRequest(
-                op=command,
-                relation=relation,
-                rows=rows_of(row_tokens),
-            )
-        if command == "plan":
-            prefix = order_of(rest[0]) if rest else None
-            return SessionRequest(op="plan", prefix=prefix)
-        if command == "count":
-            (order_token,) = rest
-            return SessionRequest(
-                op="count", order=order_of(order_token)
-            )
-        if command == "median":
-            (order_token,) = rest
-            return SessionRequest(
-                op="median", order=order_of(order_token)
-            )
-        if command == "access":
-            order_token, *index_tokens = rest
-            if not index_tokens:
-                raise ProtocolError("access needs at least one index")
-            return SessionRequest(
-                op="access",
-                order=order_of(order_token),
-                indices=tuple(int(token) for token in index_tokens),
-            )
-        if command == "page":
-            order_token, number, size = rest
-            return SessionRequest(
-                op="page",
-                order=order_of(order_token),
-                page_number=int(number),
-                page_size=int(size),
-            )
-        if command == "rank":
-            order_token, answer_token = rest
-            return SessionRequest(
-                op="rank",
-                order=order_of(order_token),
-                answer=tuple(
-                    parse_cell(cell)
-                    for cell in answer_token.split(",")
-                ),
-            )
-    except ProtocolError:
-        raise
-    except ValueError as error:
-        raise ProtocolError(str(error)) from None
-    raise ProtocolError(f"unknown command {command!r} (try 'help')")
 
 
 # -- the one executor ------------------------------------------------------
@@ -504,7 +416,7 @@ def execute(
 ) -> SessionResponse:
     """Serve ``request`` against a facade ``Connection``.
 
-    Every transport (text CLI, JSON lines, tests) funnels through here.
+    Every transport (JSON lines, HTTP, tests) funnels through here.
     ``default_query`` backs requests that carry no query of their own
     (the CLI session's bound query).  Library errors come back as
     ``ok=False`` responses — the serving loop never dies on a bad
@@ -652,5 +564,4 @@ __all__ = [
     "delta_from_request",
     "execute",
     "mutation_result",
-    "parse_command",
 ]

@@ -7,9 +7,9 @@ orders induce the same disruption-free decomposition and can share one
 share one dictionary encoding.  :class:`AccessSession` is that service
 core:
 
-* at construction it pins an execution engine and lets it pre-encode
-  the database (shared-domain dictionary under numpy, warm sorted
-  caches under Python);
+* its :class:`~repro.session.artifacts.ArtifactStore` pins an
+  execution engine and lets it pre-encode the database (shared-domain
+  dictionary under numpy, warm sorted caches under Python);
 * each :meth:`access` request reuses, in order of coarseness, the exact
   :class:`~repro.core.access.DirectAccess` structure, the counting
   forest, or the materialized bag relations of any earlier request
@@ -29,10 +29,8 @@ take a **per-artifact** build lock, so two threads preprocessing
 *different* decompositions proceed concurrently while two threads
 racing for the *same* artifact do the work exactly once.  The served
 structures are immutable after construction, so concurrent reads of a
-returned :class:`DirectAccess` need no coordination.  A session created
-the classic way (``AccessSession(database)``) owns a private store and
-behaves exactly as before; sessions created with
-:meth:`ArtifactStore.session` share one store across workers.
+returned :class:`DirectAccess` need no coordination.  Sessions come
+from :meth:`ArtifactStore.session`: one store, one session per worker.
 
 This module is the engine room behind the public facade
 (:func:`repro.connect` / :class:`repro.Connection`): prefer the facade
@@ -55,7 +53,6 @@ from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.core.preprocessing import Preprocessing
 from repro.core import tasks
 from repro.data.database import Database
-from repro.engine.base import Engine
 from repro.engine.registry import use_engine
 from repro.errors import OrderError
 from repro.query.parser import parse_query
@@ -75,28 +72,15 @@ class AccessSession:
     """Amortized direct access for repeated requests over one database.
 
     Args:
-        database: the database served; owned by the session's store for
-            its lifetime (the engine pre-encodes it in place).  Omit it
-            when attaching to an existing ``store``.
-        engine: execution engine (name, instance, or ``None`` for the
-            process-global active engine); pinned for every request so
-            cached artifacts are internally consistent.
-        capacity: per-cache capacity (``None`` = unbounded).
+        store: the :class:`~repro.session.artifacts.ArtifactStore`
+            this session fronts — it owns the database, the pinned
+            engine, the caches and the MVCC snapshot window, and may be
+            shared by many per-worker sessions.
         cache_slack: how much preprocessing exponent the planner may
             give up for a warm cache: among candidate orders with
             ``ι ≤ ι_min + cache_slack``, an already-cached decomposition
             is preferred.  ``0`` (default) only breaks exact ties
             towards the cache; the asymptotic guarantee is unchanged.
-        store: a shared :class:`~repro.session.artifacts.ArtifactStore`
-            to attach to (per-worker sessions over one store).  With
-            ``store`` given, ``database``/``engine``/``capacity`` must
-            be left at their defaults — the store owns them.
-        retain_versions: MVCC snapshot window of the session's own
-            store (see :class:`~repro.session.mvcc.SnapshotPlane`);
-            a store setting — only valid when the session builds its
-            own store.
-        strict_views: opt-in strict staleness (any read of a non-head
-            version raises); a store setting like ``retain_versions``.
     """
 
     #: Cache-aware planning inspects at most this many slack-window
@@ -107,44 +91,9 @@ class AccessSession:
 
     def __init__(
         self,
-        database: Database | None = None,
-        engine: str | Engine | None = None,
-        capacity: int | None = 64,
+        store: ArtifactStore,
         cache_slack: Fraction | int | float = 0,
-        store: ArtifactStore | None = None,
-        retain_versions: int | None = None,
-        strict_views: bool = False,
     ):
-        if store is None:
-            if database is None:
-                raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- constructor contract; API misuse, not a serving failure
-                    "AccessSession needs a database (or a store)"
-                )
-            store = ArtifactStore(
-                database,
-                engine=engine,
-                capacity=capacity,
-                retain_versions=retain_versions,
-                strict_views=strict_views,
-            )
-            self._owns_store = True
-        else:
-            if database is not None and database is not store.database:
-                raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- constructor contract; API misuse, not a serving failure
-                    "a store-attached session serves the store's "
-                    "database; do not pass another one"
-                )
-            if engine is not None and engine is not store.engine:
-                raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- constructor contract; API misuse, not a serving failure
-                    "a store-attached session serves with the store's "
-                    "engine; do not pass another one"
-                )
-            if retain_versions is not None or strict_views:
-                raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- constructor contract; API misuse, not a serving failure
-                    "retain_versions/strict_views are store settings; "
-                    "set them on the shared store"
-                )
-            self._owns_store = False
         self.store = store
         self.engine = store.engine
         self.cache_slack = Fraction(cache_slack)
@@ -349,7 +298,7 @@ class AccessSession:
         *retained MVCC snapshot* instead of the head — version-pinned
         wire reads ride this; it raises
         :class:`~repro.errors.StaleViewError` when the snapshot was
-        evicted (or in strict mode).
+        evicted.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -489,7 +438,7 @@ class AccessSession:
 
     def median(self, query, order=None, prefix=None) -> tuple:
         """The middle answer under the served order."""
-        return tasks.median_impl(
+        return tasks.median(
             self.access(query, order=order, prefix=prefix)
         )
 
@@ -498,7 +447,7 @@ class AccessSession:
         prefix=None,
     ) -> list[tuple]:
         """One page of ranked answers (batched access)."""
-        return tasks.page_impl(
+        return tasks.page(
             self.access(query, order=order, prefix=prefix),
             page_number,
             page_size,
@@ -520,17 +469,6 @@ class AccessSession:
             out = self.stats.as_dict()
         out["store"] = self.store.cache_stats()
         return out
-
-    def clear(self) -> None:
-        """Drop every cached artifact (counters are kept).
-
-        A session that *owns* its store (the classic
-        ``AccessSession(database)`` construction) clears it; a
-        per-worker session attached to a shared store must not wipe its
-        siblings' artifacts — clear the store itself for that.
-        """
-        if self._owns_store:
-            self.store.clear()
 
 
 __all__ = ["AccessSession"]

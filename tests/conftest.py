@@ -12,6 +12,7 @@ from repro.joins.generic_join import evaluate
 from repro.query.atoms import Atom
 from repro.query.query import JoinQuery
 from repro.query.variable_order import VariableOrder
+from repro.session.artifacts import ArtifactStore
 
 
 def lex_answers(
@@ -62,6 +63,13 @@ def random_order(query: JoinQuery, rng: random.Random) -> VariableOrder:
     variables = list(query.variables)
     rng.shuffle(variables)
     return VariableOrder(variables)
+
+
+def make_session(database, engine=None, capacity=64, cache_slack=0):
+    """An :class:`~repro.session.AccessSession` over its own fresh
+    store — what :func:`repro.connect` builds behind a connection."""
+    store = ArtifactStore(database, engine=engine, capacity=capacity)
+    return store.session(cache_slack)
 
 
 @pytest.fixture

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro import Database, parse_query
+from repro import Connection, Database, parse_query
 from repro.session import (
-    AccessSession,
     ArtifactStore,
     CacheStats,
     CostAwareCache,
@@ -260,22 +259,15 @@ class TestArtifactStore:
         # And serving still works after the wipe.
         assert len(session.access(PATH, order=["x", "y", "z"])) == 5
 
-    def test_attached_session_rejects_conflicting_setup(self):
-        store = ArtifactStore(path_database())
-        with pytest.raises(ValueError):
-            AccessSession(path_database(), store=store)
-        with pytest.raises(ValueError):
-            AccessSession(engine="python", store=store)
-
-    def test_session_requires_database_or_store(self):
-        with pytest.raises(ValueError):
-            AccessSession()
-
     def test_shared_session_clear_leaves_siblings_warm(self):
         store = ArtifactStore(path_database())
         worker_a, worker_b = store.session(), store.session()
         worker_a.access(PATH, order=["x", "y", "z"])
-        worker_a.clear()  # must NOT wipe the shared store
+        # A connection attached to a shared store (a server worker's)
+        # must NOT wipe it: only the connect()-made owner clears.
+        attached = Connection(worker_a)
+        attached.clear_cache()
+        attached.close()
         worker_b.access(PATH, order=["x", "y", "z"])
         assert worker_b.stats.bag_materializations == 0
         assert worker_b.stats.access.hits == 1

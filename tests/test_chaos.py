@@ -329,27 +329,21 @@ class TestChaosCLI:
         assert ": PASS" in out
         assert "executed=" in out
 
-    def test_json_report_and_record_trajectory(self, tmp_path, capsys):
+    def test_json_report(self, capsys):
         import json
 
         from repro.cli import main
 
-        record = tmp_path / "BENCH_serving.json"
         code = main(
             [
                 "chaos", "--seed", "2", "--ops", "30", "--quick",
                 "--faults", "none", "--json",
-                "--record", str(record),
             ]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "pass"
         assert report["faults"] == ""
-        history = json.loads(record.read_text())
-        assert len(history) == 1
-        assert history[0]["bench"] == "chaos"
-        assert history[0]["verdict"] == "pass"
 
     def test_unknown_fault_site_dies_with_one_line(self):
         from repro.cli import main

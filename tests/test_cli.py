@@ -201,47 +201,67 @@ class TestAccess:
             )
 
 
+def serve_session(tmp_path, monkeypatch, lines):
+    """Run ``repro session`` over the two-relation path database with
+    ``lines`` (JSON text, one request each) on stdin."""
+    import io
+
+    r_file = tmp_path / "r.csv"
+    r_file.write_text("1,2\n3,2\n3,4\n")
+    s_file = tmp_path / "s.csv"
+    s_file.write_text("2,7\n2,9\n4,1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    return main(
+        [
+            "session",
+            "Q(x,y,z) :- R(x,y), S(y,z)",
+            "--relation",
+            f"R={r_file}",
+            "--relation",
+            f"S={s_file}",
+        ]
+    )
+
+
+def responses_of(capsys) -> list[dict]:
+    import json
+
+    out = capsys.readouterr().out
+    return [json.loads(line) for line in out.splitlines() if line]
+
+
 class TestSession:
-    def _serve(self, tmp_path, monkeypatch, script):
-        import io
-
-        r_file = tmp_path / "r.csv"
-        r_file.write_text("1,2\n3,2\n3,4\n")
-        s_file = tmp_path / "s.csv"
-        s_file.write_text("2,7\n2,9\n4,1\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO(script))
-        return main(
-            [
-                "session",
-                "Q(x,y,z) :- R(x,y), S(y,z)",
-                "--relation",
-                f"R={r_file}",
-                "--relation",
-                f"S={s_file}",
-            ]
-        )
-
     def test_serves_multiple_requests(self, tmp_path, monkeypatch, capsys):
-        code = self._serve(
+        code = serve_session(
             tmp_path,
             monkeypatch,
-            "access x,y,z 0 -1\n"
-            "median -\n"
-            "page x,y,z 0 2\n"
-            "count x,y,z\n"
-            "stats\n"
-            "quit\n",
+            [
+                '{"op": "access", "order": ["x", "y", "z"], '
+                '"indices": [0, -1]}\n',
+                '{"op": "median"}\n',
+                '{"op": "page", "order": ["x", "y", "z"], '
+                '"page_number": 0, "page_size": 2}\n',
+                '{"op": "count", "order": ["x", "y", "z"]}\n',
+                '{"op": "stats"}\n',
+                '{"op": "quit"}\n',
+                '{"op": "count"}\n',  # after quit: never served
+            ],
         )
-        out = capsys.readouterr().out
+        replies = responses_of(capsys)
         assert code == 0
-        assert "session ready" in out
-        assert "answers[0] = (1, 2, 7)" in out
-        assert "answers[-1] = (3, 4, 1)" in out
-        assert "median = (3, 2, 7)" in out
-        assert "(1, 2, 9)" in out  # second row of the page
-        assert "5 answers over ['x', 'y', 'z']" in out
-        assert "bag_materializations: 3" in out
-        assert "served 4 requests" in out
+        assert [reply["op"] for reply in replies] == [
+            "access", "median", "page", "count", "stats", "quit",
+        ]
+        assert all(reply["ok"] for reply in replies)
+        access, median, page, count, stats, _ = (
+            reply["result"] for reply in replies
+        )
+        assert access["answers"] == [[1, 2, 7], [3, 4, 1]]
+        assert median["answer"] == [3, 2, 7]
+        assert page["answers"][1] == [1, 2, 9]
+        assert (count["count"], count["order"]) == (5, ["x", "y", "z"])
+        assert stats["bag_materializations"] == 3
+        assert stats["requests"] == 4
 
     def test_missing_relation_exits_at_startup(self, tmp_path):
         r_file = tmp_path / "r.csv"
@@ -274,74 +294,55 @@ class TestSession:
     def test_errors_do_not_end_the_session(
         self, tmp_path, monkeypatch, capsys
     ):
-        code = self._serve(
+        code = serve_session(
             tmp_path,
             monkeypatch,
-            "access x,y,z 99\n"  # out of bounds
-            "page x,y,z -1 5\n"  # negative page
-            "frobnicate\n"  # unknown command
-            "count x,y,z\n",  # still served afterwards
+            [
+                # out of bounds
+                '{"op": "access", "order": ["x", "y", "z"], '
+                '"indices": [99]}\n',
+                # negative page
+                '{"op": "page", "order": ["x", "y", "z"], '
+                '"page_number": -1, "page_size": 5}\n',
+                '{"op": "frobnicate"}\n',  # unknown command
+                # still served afterwards
+                '{"op": "count", "order": ["x", "y", "z"]}\n',
+            ],
         )
-        out = capsys.readouterr().out
+        replies = responses_of(capsys)
         assert code == 0
-        assert out.count("error:") == 3
-        assert "5 answers" in out
+        assert [reply["ok"] for reply in replies] == [
+            False, False, False, True,
+        ]
+        assert replies[0]["error_type"] == "OutOfBoundsError"
+        assert replies[-1]["result"]["count"] == 5
 
 
 class TestSessionRank:
-    def test_rank_round_trips_in_text_mode(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        import io
-
-        r_file = tmp_path / "r.csv"
-        r_file.write_text("1,2\n3,2\n3,4\n")
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(
-                "access x,y 2\n"
-                "rank x,y 3,2\n"
-                "rank x,y 9,9\n"
-                "quit\n"
-            ),
-        )
-        code = main(
+    def test_rank_round_trips(self, tmp_path, monkeypatch, capsys):
+        code = serve_session(
+            tmp_path,
+            monkeypatch,
             [
-                "session",
-                "Q(x,y) :- R(x,y)",
-                "--relation",
-                f"R={r_file}",
-            ]
+                '{"op": "access", "order": ["x", "y", "z"], '
+                '"indices": [2]}\n',
+                '{"op": "rank", "order": ["x", "y", "z"], '
+                '"answer": [3, 2, 7]}\n',
+                '{"op": "rank", "order": ["x", "y", "z"], '
+                '"answer": [9, 9, 9]}\n',
+                '{"op": "quit"}\n',
+            ],
         )
-        out = capsys.readouterr().out
+        replies = responses_of(capsys)
         assert code == 0
-        assert "answers[2] = (3, 4)" in out
-        assert "rank[(3, 2)] = 1" in out
-        assert "rank[(9, 9)] = not an answer" in out
+        assert replies[0]["result"]["answers"] == [[3, 2, 7]]
+        assert replies[1]["result"]["rank"] == 2
+        assert replies[2]["ok"]
+        assert replies[2]["result"]["rank"] is None  # not an answer
 
 
 class TestSessionJson:
-    """The --json mode speaks the versioned SessionRequest protocol."""
-
-    def _serve_json(self, tmp_path, monkeypatch, lines):
-        import io
-
-        r_file = tmp_path / "r.csv"
-        r_file.write_text("1,2\n3,2\n3,4\n")
-        s_file = tmp_path / "s.csv"
-        s_file.write_text("2,7\n2,9\n4,1\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
-        return main(
-            [
-                "session",
-                "--json",
-                "Q(x,y,z) :- R(x,y), S(y,z)",
-                "--relation",
-                f"R={r_file}",
-                "--relation",
-                f"S={s_file}",
-            ]
-        )
+    """Requests built from the protocol dataclasses round-trip."""
 
     def test_round_trip(self, tmp_path, monkeypatch, capsys):
         from repro.session import SessionRequest, SessionResponse
@@ -358,7 +359,7 @@ class TestSessionJson:
             SessionRequest(op="stats"),
             SessionRequest(op="quit"),
         ]
-        code = self._serve_json(
+        code = serve_session(
             tmp_path,
             monkeypatch,
             [request.to_json() + "\n" for request in requests],
@@ -385,9 +386,7 @@ class TestSessionJson:
     def test_errors_are_json_and_do_not_end_the_stream(
         self, tmp_path, monkeypatch, capsys
     ):
-        import json
-
-        code = self._serve_json(
+        code = serve_session(
             tmp_path,
             monkeypatch,
             [
@@ -399,9 +398,8 @@ class TestSessionJson:
                 '{"op": "count", "order": ["x", "y", "z"]}\n',
             ],
         )
-        out = capsys.readouterr().out
+        lines = responses_of(capsys)
         assert code == 0
-        lines = [json.loads(line) for line in out.splitlines() if line]
         assert [line["ok"] for line in lines] == [
             False,
             False,

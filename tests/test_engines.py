@@ -16,14 +16,13 @@ import zlib
 import pytest
 
 from repro import (
-    AccessSession,
     Database,
-    DirectAccess,
     OutOfBoundsError,
     Relation,
     VariableOrder,
     parse_query,
 )
+from repro.core.access import DirectAccess
 from repro.data.columnar import numpy_available
 from repro.engine import (
     available_engines,
@@ -34,6 +33,7 @@ from repro.engine import (
 from repro.errors import EngineError
 from repro.joins.generic_join import evaluate, generic_join
 from repro.joins.operators import Table
+from tests.conftest import make_session
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not installed"
@@ -117,7 +117,7 @@ def test_session_differential(query_text):
     ]
     observations = {}
     for engine in ("python", "numpy"):
-        session = AccessSession(database, engine=engine)
+        session = make_session(database, engine=engine)
         trace = []
         for order in orders + orders:  # second half: warm requests
             access = session.access(query, order=order)

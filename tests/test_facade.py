@@ -1,17 +1,15 @@
 """Tests for the public facade: connect / Connection / AnswerView.
 
-This module (plus ``tests/test_protocol.py``) is the new-API surface;
-CI runs it with ``-W error::DeprecationWarning`` to prove the facade
-never routes through a deprecated shim.  Deprecation of the old entry
-points themselves is asserted here too (inside ``pytest.warns``, which
-is compatible with that leg).
+Also the surface tripwire (:class:`TestPublicSurface`): the second
+public API, stdin grammar, session constructor and staleness contract
+were deleted in 2.0, and this is where a copy growing back fails.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import inspect
 import threading
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -315,79 +313,80 @@ class TestTaskMethods:
             view[0:0].median()
 
 
-class TestDeprecatedShims:
-    """The old entry points still work, warn, and agree with the facade."""
+class TestPublicSurface:
+    """One of each: what 2.0 deleted stays deleted."""
 
-    def test_direct_access_attribute_warns_and_works(self):
+    def test_all_is_a_literal_set(self):
         import repro
 
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            DirectAccess = repro.DirectAccess
-        from repro import Database, VariableOrder, parse_query
+        assert set(repro.__all__) == {
+            "AccessSession", "AnswerTester", "AnswerView", "Atom",
+            "ConjunctiveQuery", "Connection", "Database", "Delta",
+            "DisruptionFreeDecomposition", "EncodedDatabase",
+            "EngineError", "JoinQuery", "NotAnAnswerError",
+            "OrderlessFourCycleAccess", "OutOfBoundsError",
+            "ProtocolError", "Relation", "ReproError",
+            "SelfJoinFreeAccess", "SessionRequest", "SessionResponse",
+            "StaleViewError", "TightBounds", "VariableOrder",
+            "WriteAheadLog", "__version__", "available_engines",
+            "cheapest_order", "classify", "connect",
+            "fractional_hypertree_width", "get_engine",
+            "incompatibility_number", "parse_query",
+            "partial_order_access", "rank_orders", "set_engine",
+            "use_engine",
+        }
+        assert len(repro.__all__) == len(set(repro.__all__))
 
-        access = DirectAccess(
-            parse_query(TWO_PATH),
-            VariableOrder(["x", "y", "z"]),
-            Database(
-                {
-                    "R": {(1, 2), (3, 2), (3, 5)},
-                    "S": {(2, 7), (2, 9), (5, 1)},
-                }
-            ),
-        )
-        assert [access.tuple_at(i) for i in range(len(access))] == (
-            TWO_PATH_ANSWERS
-        )
-
-    def test_preprocessing_attribute_warns(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning):
-            repro.Preprocessing
-
-    def test_unknown_attribute_still_raises(self):
+    @pytest.mark.parametrize(
+        "name", ["DirectAccess", "Preprocessing", "DoesNotExist"]
+    )
+    def test_removed_entry_points_raise_attribute_error(self, name):
         import repro
 
         with pytest.raises(AttributeError):
-            repro.DoesNotExist
+            getattr(repro, name)
 
-    def test_task_functions_warn_and_agree(self):
-        from repro.core import tasks
+    def test_protocol_exports_no_text_grammar(self):
+        from repro.session import protocol
 
-        view = two_path_view()
-        with pytest.warns(DeprecationWarning):
-            assert tasks.median(view) == view.median()
-        with pytest.warns(DeprecationWarning):
-            assert tasks.boxplot(view) == view.boxplot()
-        with pytest.warns(DeprecationWarning):
-            assert tasks.page(view, 0, 2) == view.page(0, 2)
-        with pytest.warns(DeprecationWarning):
-            assert tasks.quantile(view, 0.5) == view.quantile(0.5)
-        with pytest.warns(DeprecationWarning):
-            assert tasks.answer_count(view) == len(view)
-        with pytest.warns(DeprecationWarning):
-            assert tasks.sample_without_repetition(
-                view, 2, seed=3
-            ) == view.sample(2, seed=3)
-        with pytest.warns(DeprecationWarning):
-            assert list(tasks.enumerate_in_order(view)) == list(view)
+        assert set(protocol.__all__) == {
+            "MUTATION_OPS", "OPS", "OP_SUMMARIES", "PROTOCOL_VERSION",
+            "VIEW_OPS", "SessionRequest", "SessionResponse",
+            "delta_from_request", "execute", "mutation_result",
+        }
 
-    def test_facade_is_deprecation_clean(self):
-        """The facade itself must never route through a shim."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            conn = two_path_connection()
-            view = conn.prepare(TWO_PATH, order=["x", "y", "z"])
-            list(view)
-            list(reversed(view))
-            view.rank(TWO_PATH_ANSWERS[0])
-            view.median()
-            view.boxplot()
-            view.page(0, 2)
-            view.sample(2, seed=0)
-            view[1:3].median()
-            conn.plan(TWO_PATH)
-            conn.stats()
+    def test_session_is_built_from_a_store(self):
+        from repro import AccessSession
+
+        parameters = inspect.signature(AccessSession.__init__).parameters
+        assert list(parameters) == ["self", "store", "cache_slack"]
+
+    def test_staleness_contract_has_no_switch(self):
+        """MVCC-retained snapshots with StaleViewError on eviction is
+        the one contract: nothing takes a strict-staleness flag."""
+        from repro.server import AsyncReproServer, ReproServer
+        from repro.session import ArtifactStore
+
+        for factory in (
+            connect, ArtifactStore, ReproServer, AsyncReproServer,
+        ):
+            parameters = inspect.signature(factory).parameters
+            assert not [
+                name for name in parameters if "strict" in name
+            ], factory
+
+    def test_connect_made_connection_clears_its_store(self):
+        conn = two_path_connection()
+        conn.prepare(TWO_PATH, order=["x", "y", "z"])
+        cold = conn.stats()["bag_materializations"]
+        assert cold > 0
+        conn.prepare(TWO_PATH, order=["x", "y", "z"])
+        assert conn.stats()["bag_materializations"] == cold  # warm
+        conn.clear_cache()
+        conn.prepare(TWO_PATH, order=["x", "y", "z"])
+        # Emptied store: the next prepare re-materialises its bags
+        # (the ledger's cold ``prepare_s`` phase depends on this).
+        assert conn.stats()["bag_materializations"] == 2 * cold
 
 
 class TestThreadSafety:

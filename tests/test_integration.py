@@ -9,7 +9,7 @@ from repro.core.counting import (
     PrefixConstraint,
 )
 from repro.core.selfjoins import SelfJoinFreeAccess
-from repro.core.tasks import boxplot, median, sample_without_repetition
+from repro.core.tasks import boxplot, median, sample
 from repro.data.database import Database
 from repro.data.generators import random_database
 from repro.joins.generic_join import evaluate
@@ -51,7 +51,7 @@ class TestOrderStatisticsPipeline:
         query = parse_query("Q(x, y) :- R(x, y)")
         db = Database({"R": {(i, i % 3) for i in range(30)}})
         access = DirectAccess(query, VariableOrder(["x", "y"]), db)
-        samples = sample_without_repetition(access, 30, seed=1)
+        samples = sample(access, 30, seed=1)
         assert sorted(samples) == [
             access.tuple_at(i) for i in range(30)
         ]

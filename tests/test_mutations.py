@@ -13,13 +13,12 @@ The acceptance surface of the live-updates PR, bottom-up:
 * the facade — ``Connection.apply`` bumps ``db_version`` for
   effective deltas while version-pinned views keep answering from
   retained MVCC snapshots; :class:`~repro.errors.StaleViewError` is
-  reserved for evicted snapshots and ``strict_views`` mode;
+  reserved for evicted snapshots;
 * the wire — ``insert`` / ``delete`` / ``apply`` / ``db_version``
   ops, snapshot-pinned reads with eviction replay, batched ranks,
   and the keep-alive client pool.
 
-Part of the new-API surface: CI runs this module with
-``-W error::DeprecationWarning`` and under both engines.
+CI runs this module under both engines.
 """
 
 from __future__ import annotations
@@ -728,15 +727,6 @@ class TestFacadeStaleness:
         with pytest.raises(StaleViewError):
             view[0]
 
-    def test_strict_views_fail_fast_on_any_mutation(self):
-        conn = connect(fresh_database(), strict_views=True)
-        view = conn.prepare(PATH, order=["x", "y", "z"])
-        conn.apply(Delta(inserts={"R": {(9, 9)}}))
-        with pytest.raises(StaleViewError):
-            view[0]
-        with pytest.raises(StaleViewError):
-            len(view)
-
     def test_fresh_prepare_serves_post_delta_answers(self):
         conn = connect(fresh_database())
         before = conn.prepare(PATH, order=["x", "y", "z"])
@@ -892,20 +882,6 @@ class TestProtocolMutations:
         )
         assert response.ok
         assert response.result["ranks"] == [0, None, 4]
-
-    def test_text_grammar_mutations(self):
-        from repro.session.protocol import parse_command
-
-        request = parse_command("insert R 9,9 10,10")
-        assert request.op == "insert" and request.relation == "R"
-        assert request.rows == ((9, 9), (10, 10))
-        request = parse_command("delete R 1,2")
-        assert request.op == "delete" and request.rows == ((1, 2),)
-        assert parse_command("db_version").op == "db_version"
-        from repro.errors import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            parse_command("insert R")
 
 
 class TestOverTheWire:

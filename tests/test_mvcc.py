@@ -97,14 +97,6 @@ class TestStoreMVCC:
         with pytest.raises(StaleViewError, match="evicted"):
             store.database_at(99)
 
-    def test_strict_views_refuse_non_head_versions(self):
-        store = ArtifactStore(fresh_database(), strict_views=True)
-        store.apply(Delta(inserts={"R": {(9, 9)}}))
-        assert store.is_readable(1)
-        assert not store.is_readable(0)
-        with pytest.raises(StaleViewError, match="strict"):
-            store.database_at(0)
-
     def test_window_eviction_gcs_old_artifacts(self):
         store = ArtifactStore(fresh_database(), retain_versions=1)
         session = store.session()
@@ -226,5 +218,3 @@ class TestFacadeAcceptance:
 
         with pytest.raises(ReproError, match="server-side"):
             connect("http://127.0.0.1:1/", retain_versions=2)
-        with pytest.raises(ReproError, match="server-side"):
-            connect("http://127.0.0.1:1/", strict_views=True)

@@ -1,8 +1,4 @@
-"""Tests for the versioned JSON session protocol (one codepath).
-
-Part of the new-API surface: CI runs this module with
-``-W error::DeprecationWarning``.
-"""
+"""Tests for the versioned JSON session protocol (one codepath)."""
 
 from __future__ import annotations
 
@@ -17,7 +13,6 @@ from repro.session.protocol import (
     SessionRequest,
     SessionResponse,
     execute,
-    parse_command,
 )
 
 QUERY = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -129,66 +124,11 @@ class TestResponseWireForm:
             SessionResponse.from_json(
                 '{"op": "count", "ok": true, "version": 99}'
             )
-
-
-class TestLegacyGrammar:
-    """The text grammar parses into the same request dataclass."""
-
-    @pytest.mark.parametrize(
-        "line,expected",
-        [
-            (
-                "access x,y,z 0 -1",
-                SessionRequest(
-                    op="access", order=("x", "y", "z"), indices=(0, -1)
-                ),
-            ),
-            ("median -", SessionRequest(op="median")),
-            (
-                "page x,y 2 10",
-                SessionRequest(
-                    op="page",
-                    order=("x", "y"),
-                    page_number=2,
-                    page_size=10,
-                ),
-            ),
-            ("count x,y", SessionRequest(op="count", order=("x", "y"))),
-            (
-                "rank x,y 3,hello",
-                SessionRequest(
-                    op="rank", order=("x", "y"), answer=(3, "hello")
-                ),
-            ),
-            ("plan", SessionRequest(op="plan")),
-            ("plan x,y", SessionRequest(op="plan", prefix=("x", "y"))),
-            ("stats", SessionRequest(op="stats")),
-            ("quit", SessionRequest(op="quit")),
-            ("exit", SessionRequest(op="quit")),
-            ("QUIT", SessionRequest(op="quit")),
-        ],
-    )
-    def test_parses(self, line, expected):
-        assert parse_command(line) == expected
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "frobnicate",
-            "access x,y",
-            "access x,y zero",
-            "median",
-            "median - extra",
-            "page x,y 1",
-            "page x,y one 2",
-            "rank x,y",
-            "count",
-            "",
-        ],
-    )
-    def test_rejects(self, line):
-        with pytest.raises(ProtocolError):
-            parse_command(line)
+        # A boolean is not a version, exactly as on the request side.
+        with pytest.raises(ProtocolError, match="integer"):
+            SessionResponse.from_json(
+                '{"op": "count", "ok": true, "version": true}'
+            )
 
 
 class TestExecutor:

@@ -1,8 +1,7 @@
 """The HTTP serving layer: transport behavior, the facade client, and
 the concurrency acceptance test of the ``repro serve`` PR.
 
-Part of the new-API surface: CI runs this module with
-``-W error::DeprecationWarning`` and under both engines.
+CI runs this module under both engines.
 """
 
 from __future__ import annotations

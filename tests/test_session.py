@@ -8,15 +8,14 @@ from fractions import Fraction
 import pytest
 
 from repro import (
-    AccessSession,
     Database,
-    DirectAccess,
     EncodedDatabase,
     Relation,
     VariableOrder,
     parse_query,
     use_engine,
 )
+from repro.core.access import DirectAccess
 from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.data.columnar import numpy_available
 from repro.engine import available_engines
@@ -24,6 +23,7 @@ from repro.errors import OrderError
 from repro.session.cache import CacheStats, LRUCache
 from tests.conftest import (
     lex_answers,
+    make_session,
     random_database_for,
     random_join_query,
 )
@@ -48,7 +48,7 @@ class TestCrossOrderSharing:
     @pytest.mark.parametrize("engine", available_engines())
     def test_sibling_order_hits_cache(self, engine):
         query = parse_query(STAR)
-        session = AccessSession(star_database(), engine=engine)
+        session = make_session(star_database(), engine=engine)
         first = session.access(query, order=["x", "y", "z", "w"])
         cold_materializations = session.stats.bag_materializations
         cold_builds = session.stats.forest_builds
@@ -75,7 +75,7 @@ class TestCrossOrderSharing:
     @pytest.mark.parametrize("engine", available_engines())
     def test_exact_repeat_returns_cached_structure(self, engine):
         query = parse_query(STAR)
-        session = AccessSession(star_database(), engine=engine)
+        session = make_session(star_database(), engine=engine)
         first = session.access(query, order=["x", "y", "z", "w"])
         again = session.access(query, order=["x", "y", "z", "w"])
         assert again is first
@@ -83,7 +83,7 @@ class TestCrossOrderSharing:
 
     def test_projected_requests_cache_separately(self):
         query = parse_query(STAR)
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         full = session.access(query, order=["x", "y", "z", "w"])
         materialized = session.stats.bag_materializations
         projected = session.access(
@@ -98,7 +98,7 @@ class TestCrossOrderSharing:
         assert enumerate_all(projected) == expected
 
     def test_structurally_equal_query_shares_cache(self):
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         session.access(parse_query(STAR), order=["x", "y", "z", "w"])
         materialized = session.stats.bag_materializations
         renamed = parse_query(
@@ -121,7 +121,7 @@ class TestCrossOrderSharing:
                 "T": {(0, 0)},
             }
         )
-        session = AccessSession(database, capacity=1)
+        session = make_session(database, capacity=1)
         session.access(query_a)  # plan + artifacts for A
         session.access(other, order=["u", "v"])  # evicts A's artifacts
         access = session.access(query_b)  # warm plan, cold artifacts
@@ -157,7 +157,7 @@ class TestDecompositionCacheKey:
             # Same decomposition => the session serves order_b from
             # order_a's preprocessing, with identical answers.
             database = random_database_for(query, rng)
-            session = AccessSession(database)
+            session = make_session(database)
             session.access(query, order=order_a)
             materialized = session.stats.bag_materializations
             warm = session.access(query, order=order_b)
@@ -183,7 +183,7 @@ class TestDecompositionCacheKey:
 class TestPlanning:
     def test_advisor_picks_cheapest_cold(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = AccessSession(
+        session = make_session(
             random_database_for(query, random.Random(1))
         )
         report = session.plan(query)
@@ -193,7 +193,7 @@ class TestPlanning:
 
     def test_prefix_planning(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = AccessSession(
+        session = make_session(
             random_database_for(query, random.Random(2))
         )
         access = session.access(query, prefix=["y"])
@@ -206,21 +206,21 @@ class TestPlanning:
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(3))
         # Slack 1 admits the iota-2 order (x, z, y) once it is warm.
-        session = AccessSession(database, cache_slack=1)
+        session = make_session(database, cache_slack=1)
         warm_order = ["x", "z", "y"]
         session.access(query, order=warm_order)
         report = session.plan(query)
         assert list(report.order) == warm_order
         assert session.stats.cache_preferred_orders == 1
         # With the default slack 0 the cold optimum still wins.
-        strict = AccessSession(database)
+        strict = make_session(database)
         strict.access(query, order=warm_order)
         assert strict.plan(query).iota == 1
 
     def test_mutated_cache_slack_replans(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(9))
-        session = AccessSession(database)
+        session = make_session(database)
         session.plan(query)  # caches the slack-0 (ties-only) window
         session.cache_slack = Fraction(1)
         session.access(query, order=["x", "z", "y"])  # warm iota-2
@@ -228,7 +228,7 @@ class TestPlanning:
 
     def test_plan_accepts_plain_list_prefix(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = AccessSession(
+        session = make_session(
             random_database_for(query, random.Random(8))
         )
         report = session.plan(query, ["y"])  # cold plan cache
@@ -311,19 +311,19 @@ class TestPlanning:
 
     def test_plan_results_are_memoized(self):
         query = parse_query(STAR)
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         session.access(query)
         session.access(query)
         assert session.stats.advisor_calls == 1
 
     def test_projected_needs_explicit_order(self):
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         with pytest.raises(OrderError):
             session.access(parse_query(STAR), projected={"w"})
 
     def test_conflicting_order_and_prefix_raise(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = AccessSession(
+        session = make_session(
             random_database_for(query, random.Random(7))
         )
         with pytest.raises(OrderError):
@@ -336,7 +336,7 @@ class TestPlanning:
 
     def test_plan_cache_keeps_only_the_slack_window(self):
         query = parse_query(STAR)  # 4 variables, 24 orders
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         session.plan(query)
         (stored,) = session._plans._entries.values()
         best = stored[0].iota
@@ -348,7 +348,7 @@ class TestSessionMechanics:
     def test_task_conveniences(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(4))
-        session = AccessSession(database)
+        session = make_session(database)
         order = ["x", "y", "z"]
         answers = lex_answers(query, database, VariableOrder(order))
         assert session.count(query, order=order) == len(answers)
@@ -362,7 +362,7 @@ class TestSessionMechanics:
     def test_lru_eviction_keeps_serving(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(5))
-        session = AccessSession(database, capacity=1)
+        session = make_session(database, capacity=1)
         orders = (["x", "y", "z"], ["y", "x", "z"], ["x", "y", "z"])
         for order in orders:
             access = session.access(query, order=order)
@@ -373,14 +373,14 @@ class TestSessionMechanics:
 
     def test_clear_drops_artifacts_but_keeps_counters(self):
         query = parse_query(STAR)
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         session.access(query, order=["x", "y", "z", "w"])
-        session.clear()
+        session.store.clear()
         session.access(query, order=["x", "y", "z", "w"])
         assert session.stats.bag_materializations == 8
 
     def test_cache_stats_snapshot_shape(self):
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         stats = session.cache_stats()
         assert set(stats) == {
             "requests",
@@ -402,7 +402,7 @@ class TestSessionMechanics:
         query = parse_query("Q(x, y) :- R(x, y)")
         database = Database({"R": {(1, 2), (2, 3)}})
         for engine in available_engines():
-            session = AccessSession(database, engine=engine)
+            session = make_session(database, engine=engine)
             access = session.access(query, order=["x", "y"])
             assert access.engine_name == engine
 
@@ -453,7 +453,7 @@ class TestEncodedDatabase:
         )
         assert database.shared_dictionary is None
         query = parse_query("Q(x, y) :- R(x, y), S(y)")
-        session = AccessSession(database)
+        session = make_session(database)
         access = session.access(query, order=["x", "y"])
         assert enumerate_all(access) == [(1, "u")]
 
@@ -472,7 +472,7 @@ class TestEncodedDatabase:
 
     def test_lazy_prefix_is_consumed_once(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = AccessSession(
+        session = make_session(
             random_database_for(query, random.Random(10))
         )
         access = session.access(
@@ -489,7 +489,7 @@ class TestThreadSafety:
         import threading
 
         query = parse_query(STAR)
-        session = AccessSession(star_database(), capacity=None)
+        session = make_session(star_database(), capacity=None)
         # Sibling orders: same decomposition, one bag-materialization
         # pass total no matter how the threads interleave.
         orders = [
@@ -533,7 +533,7 @@ class TestThreadSafety:
         assert stats["bag_materializations"] == 4
 
     def test_snapshot_is_a_plain_copy(self):
-        session = AccessSession(star_database())
+        session = make_session(star_database())
         first = session.cache_stats()
         session.access(parse_query(STAR), order=["x", "y", "z", "w"])
         second = session.cache_stats()
@@ -549,7 +549,7 @@ class TestThreadSafety:
         from repro import use_engine
 
         query = parse_query(STAR)
-        session = AccessSession(star_database(), capacity=None)
+        session = make_session(star_database(), capacity=None)
         errors: list[BaseException] = []
         done = threading.Event()
 

@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.access import DirectAccess
 from repro.core.tasks import (
-    answer_count,
     boxplot,
     enumerate_in_order,
     median,
     page,
     quantile,
-    sample_without_repetition,
+    sample,
 )
 from repro.data.database import Database
 from repro.errors import OutOfBoundsError
@@ -70,25 +69,25 @@ class TestOrderStatistics:
 class TestSamplingAndPagination:
     def test_sample_without_repetition(self, access):
         da, answers = access
-        sample = sample_without_repetition(da, 10, seed=3)
-        assert len(sample) == len(set(sample)) == 10
-        assert set(sample) <= set(answers)
+        drawn = sample(da, 10, seed=3)
+        assert len(drawn) == len(set(drawn)) == 10
+        assert set(drawn) <= set(answers)
 
     def test_sample_too_large(self, access):
         da, _ = access
         with pytest.raises(OutOfBoundsError):
-            sample_without_repetition(da, len(da) + 1)
+            sample(da, len(da) + 1)
 
     def test_sample_negative_k(self, access):
         """A negative k is the same caller bug as k > n: the library's
         OutOfBoundsError, not random.Random.sample's bare ValueError."""
         da, _ = access
         with pytest.raises(OutOfBoundsError):
-            sample_without_repetition(da, -1)
+            sample(da, -1)
 
     def test_sample_zero_k(self, access):
         da, _ = access
-        assert sample_without_repetition(da, 0) == []
+        assert sample(da, 0) == []
 
     def test_pagination(self, access):
         da, answers = access
@@ -123,7 +122,7 @@ class TestSamplingAndPagination:
     def test_enumeration(self, access):
         da, answers = access
         assert list(enumerate_in_order(da)) == answers
-        assert answer_count(da) == len(answers)
+        assert len(da) == len(answers)
 
     def test_enumeration_chunked(self, access):
         """Chunk boundaries are invisible in the enumeration order."""
@@ -161,7 +160,7 @@ class TestBatchedTaskLayer:
 
         spy = Spy()
         boxplot(spy)
-        sample_without_repetition(spy, min(5, len(da)), seed=0)
+        sample(spy, min(5, len(da)), seed=0)
         page(spy, 0, 5)
         list(enumerate_in_order(spy))
         assert calls["batch"] >= 4
@@ -180,9 +179,9 @@ class TestBatchedTaskLayer:
 
         scalar = ScalarOnly()
         assert boxplot(da) == boxplot(scalar)
-        assert sample_without_repetition(
+        assert sample(
             da, 8, seed=11
-        ) == sample_without_repetition(scalar, 8, seed=11)
+        ) == sample(scalar, 8, seed=11)
         assert page(da, 1, 6) == page(scalar, 1, 6)
         assert list(enumerate_in_order(da)) == list(
             enumerate_in_order(scalar)
