@@ -65,6 +65,23 @@ def random_order(query: JoinQuery, rng: random.Random) -> VariableOrder:
     return VariableOrder(variables)
 
 
+def read_reply(stream):
+    """One framed HTTP reply off a socket file (``sock.makefile("rb")``,
+    which buffers pipelined replies): ``(status line, [(header, value),
+    ...] in wire order, body, every byte read)``."""
+    raw = status_line = stream.readline()
+    headers = []
+    while True:
+        line = stream.readline()
+        raw += line
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers.append((name, value.strip()))
+    body = stream.read(int(dict(headers)["Content-Length"]))
+    return status_line, headers, body, raw + body
+
+
 def make_session(database, engine=None, capacity=64, cache_slack=0):
     """An :class:`~repro.session.AccessSession` over its own fresh
     store — what :func:`repro.connect` builds behind a connection."""

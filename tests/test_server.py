@@ -7,9 +7,13 @@ CI runs this module under both engines.
 from __future__ import annotations
 
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from email.utils import parsedate_to_datetime
 
 import pytest
 
@@ -19,14 +23,18 @@ from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.errors import (
     NotAnAnswerError,
     OutOfBoundsError,
+    OverloadedError,
     ProtocolError,
     ReproError,
 )
 from repro.query.parser import parse_query
 from repro.query.variable_order import VariableOrder
 from repro.server import HTTPConnection, ReproServer
+from repro.server.aio import AsyncReproServer
 from repro.server.client import normalize_base_url
+from repro.server.http import MAX_BODY_BYTES, _Handler, error_body
 from repro.session.protocol import PROTOCOL_VERSION
+from tests.conftest import read_reply
 
 QUERY = "Q(x, y, z) :- R(x, y), S(y, z)"
 RELATIONS = {
@@ -60,6 +68,106 @@ def post_op(server: ReproServer, payload: dict):
     return http_post(
         server.url + "/v1/session", json.dumps(payload).encode()
     )
+
+
+def raw_request(
+    method: str, path: str, body: bytes = b"", headers: dict | None = None
+) -> bytes:
+    """One HTTP/1.1 request as wire bytes; a POST carries its body's
+    Content-Length unless ``headers`` overrides it."""
+    fields = {"Host": "t"}
+    if method == "POST":
+        fields["Content-Length"] = str(len(body))
+    fields.update(headers or {})
+    head = [f"{method} {path} HTTP/1.1"]
+    head += [f"{name}: {value}" for name, value in fields.items()]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def raw_op(payload: dict) -> bytes:
+    return raw_request("POST", "/v1/session", json.dumps(payload).encode())
+
+
+def exchange(server, request: bytes, then_closed: bool = False):
+    """Send ``request`` on a fresh socket and read one reply; with
+    ``then_closed`` also assert the server closed the connection."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        stream = sock.makefile("rb")
+        reply = read_reply(stream)
+        if then_closed:
+            assert stream.read() == b"", "connection was kept open"
+    return reply
+
+
+def status_of(reply) -> int:
+    return int(reply[0].split()[1])
+
+
+def overloaded(request):
+    raise OverloadedError("every worker queue is full")
+
+
+#: Every reply path of the threaded front: name -> (request, status).
+#: Served by a read-only server (for the 403); the 503 row runs with
+#: ``execute`` patched to refuse admission.
+REPLY_PATHS = {
+    "200-access": (
+        raw_op({"op": "access", "query": QUERY, "indices": [0]}),
+        200,
+    ),
+    "400-bad-json": (raw_request("POST", "/v1/session", b"{not json"), 400),
+    "403-read-only": (
+        raw_op({"op": "insert", "relation": "R", "rows": [[9, 9]]}),
+        403,
+    ),
+    "404-get": (raw_request("GET", "/nope"), 404),
+    # Bodiless: neither front reads the body of a POST it answers 404.
+    "404-post": (raw_request("POST", "/v2/session"), 404),
+    "405": (raw_request("GET", "/v1/session"), 405),
+    "411": (
+        raw_request("POST", "/v1/session", headers={"Content-Length": "-1"}),
+        411,
+    ),
+    "413": (
+        raw_request("POST", "/v1/session", b"x" * (MAX_BODY_BYTES + 1)),
+        413,
+    ),
+    "503": (raw_op({"op": "count", "query": QUERY}), 503),
+    "healthz": (raw_request("GET", "/healthz"), 200),
+    "stats": (raw_request("GET", "/stats"), 200),
+}
+
+
+class _RecordingWriter:
+    """A handler ``wfile`` that records every write it passes on."""
+
+    def __init__(self, raw, writes: list[bytes]):
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+@pytest.fixture()
+def reply_writes(monkeypatch):
+    """Every ``wfile.write`` the threaded front makes, in order."""
+    writes: list[bytes] = []
+    real_setup = _Handler.setup
+
+    def recording_setup(handler):
+        real_setup(handler)
+        handler.wfile = _RecordingWriter(handler.wfile, writes)
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return writes
 
 
 @pytest.fixture()
@@ -409,6 +517,17 @@ class TestHTTPConnectionFacade:
         with pytest.raises(ReproError):
             conn.prepare(QUERY, order=["x", "y", "z"])
 
+    def test_pooled_sockets_set_tcp_nodelay(self, server):
+        # http.client sends a request's head and body in two send()s;
+        # its connect() sets TCP_NODELAY, so the second never waits on
+        # Nagle.  The pool must keep using a connect() that does.
+        conn = connect(server.url)
+        (pooled,) = conn._pool._idle  # parked by the /healthz ping
+        assert pooled.sock.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        ) == 1
+        conn.close()
+
 
 class TestConcurrentServing:
     """The acceptance test: N concurrent HTTP clients, different
@@ -650,3 +769,148 @@ class TestSlowClientRobustness:
                 server, {"op": "count", "query": QUERY}
             )
             assert status == 200 and body["ok"]
+
+
+class TestOneWritePerReply:
+    """Head and body leave in one ``wfile.write``: a second small
+    send() waits on Nagle for the client's delayed ACK (≈ 40 ms on a
+    keep-alive socket)."""
+
+    @pytest.fixture(scope="class")
+    def read_only_server(self):
+        with ReproServer(RELATIONS, workers=1, read_only=True) as running:
+            yield running
+
+    @pytest.mark.parametrize("path", sorted(REPLY_PATHS))
+    def test_every_reply_path_is_one_write(
+        self, path, read_only_server, reply_writes, monkeypatch
+    ):
+        request, status = REPLY_PATHS[path]
+        if status == 503:
+            monkeypatch.setattr(read_only_server, "execute", overloaded)
+        reply = exchange(read_only_server, request)
+        assert status_of(reply) == status
+        assert reply_writes == [reply[-1]]
+
+    def test_http09_request_gets_the_bare_body_in_one_write(
+        self, server, reply_writes
+    ):
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            reply = sock.makefile("rb").read()
+        assert reply == json.dumps(server.health()).encode()
+        assert reply_writes == [reply]
+
+    def test_keep_alive_reads_pay_no_stall(self):
+        """Stopwatch over a keep-alive ``repro.connect(url)``: point
+        reads ≈ 0.3 ms and a 1 000-row slice (two wire ops) a few ms,
+        against 44 ms and 88 ms when every reply took two writes."""
+        relations = {
+            "R": {(i, i % 7) for i in range(1000)},
+            "S": {(j, j * 2) for j in range(7)},
+        }
+        with ReproServer(relations, workers=2) as server:
+            conn = connect(server.url)
+            view = conn.prepare(QUERY, order=["x", "y", "z"])
+            assert len(view) == 1000
+            view[0]  # warm the artifact
+            samples = []
+            for index in range(60):
+                start = time.perf_counter()
+                view[index]
+                samples.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            rows = list(view[:1000])
+            slice_s = time.perf_counter() - start
+            conn.close()
+        assert len(rows) == 1000
+        assert statistics.median(samples) < 0.005
+        assert slice_s < 0.050
+
+
+class TestWireShape:
+    """The head is assembled by hand: pin the framing, the header set
+    and the bodies it must keep."""
+
+    HEADERS = ["Server", "Date", "Content-Type", "Content-Length"]
+
+    def assert_head(self, reply, status: int, headers: list[str]):
+        status_line, pairs, body, _raw = reply
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+        assert [name for name, _value in pairs] == headers
+        values = dict(pairs)
+        assert values["Server"] == (
+            f"{_Handler.server_version} {_Handler.sys_version}"
+        )
+        parsedate_to_datetime(values["Date"])
+        assert values["Content-Type"] == "application/json"
+        assert int(values["Content-Length"]) == len(body)
+
+    def test_back_to_back_requests_on_one_socket(self, server, local):
+        view = local.prepare(QUERY, order=["x", "y", "z"])
+        access = {
+            "op": "access",
+            "query": QUERY,
+            "order": ["x", "y", "z"],
+            "indices": [0, -1],
+        }
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(raw_op(access) + raw_request("GET", "/healthz"))
+            stream = sock.makefile("rb")
+            first, second = read_reply(stream), read_reply(stream)
+        for reply in (first, second):
+            self.assert_head(reply, 200, self.HEADERS)
+        assert json.loads(first[2])["result"]["answers"] == [
+            list(view[0]),
+            list(view[-1]),
+        ]
+        assert second[2] == json.dumps(server.health()).encode()
+
+    def test_503_adds_retry_after(self, server, monkeypatch):
+        monkeypatch.setattr(server, "execute", overloaded)
+        reply = exchange(server, REPLY_PATHS["503"][0])
+        self.assert_head(reply, 503, self.HEADERS + ["Retry-After"])
+        assert dict(reply[1])["Retry-After"] == "1"
+        assert reply[2] == error_body(
+            "every worker queue is full", "count", "OverloadedError"
+        )
+
+    @pytest.mark.parametrize("path", ["411", "413"])
+    def test_unframeable_requests_close_the_connection(
+        self, server, path
+    ):
+        request, status = REPLY_PATHS[path]
+        reply = exchange(server, request, then_closed=True)
+        self.assert_head(reply, status, self.HEADERS)
+
+    def test_error_bodies_are_byte_identical(self, server):
+        reply = exchange(server, REPLY_PATHS["404-get"][0])
+        assert reply[2] == error_body(
+            "unknown path '/nope'; serving POST /v1/session, "
+            "GET /healthz, GET /stats"
+        )
+        reply = exchange(server, REPLY_PATHS["411"][0])
+        assert reply[2] == error_body("request needs a Content-Length")
+
+    def test_threaded_and_async_fronts_answer_the_same_shape(self):
+        requests = [
+            REPLY_PATHS[path][0]
+            for path in ("200-access", "400-bad-json", "404-get",
+                         "404-post", "405", "411", "413")
+        ]
+
+        def answers(front):
+            with front(RELATIONS, workers=1) as server:
+                return [
+                    (status_of(reply), dict(reply[1])["Content-Type"],
+                     reply[2])
+                    for reply in (
+                        exchange(server, request) for request in requests
+                    )
+                ]
+
+        assert answers(ReproServer) == answers(AsyncReproServer)
