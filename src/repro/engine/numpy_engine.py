@@ -16,6 +16,12 @@ The engine degrades gracefully rather than changing semantics:
   back per bag (the Python path uses arbitrary-precision ints);
 * batch access falls back per call when the answer count or the packed
   search keys would not fit in ``int64``.
+
+Reads lower by their shape, not by a tuned size: a point read (a batch
+of exactly one index or row) is one scalar descent over the lazily
+decoded groups of :class:`_LazyGroups`, in Python ints; a batch of two
+or more descends level-synchronously in vectorized ``searchsorted``
+calls.  Both give the Python engine's answers bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.data.columnar import (
     pack_pair,
     shared_dictionary_encode,
 )
-from repro.engine.base import BagIndex, Engine
+from repro.engine.base import BagIndex, Engine, rank_walk
 from repro.engine.python_engine import PythonEngine
 
 
@@ -181,10 +187,15 @@ class _LazyGroups(dict):
     """``BagIndex.groups`` decoded from the CSR mirror on demand.
 
     Decoding every candidate back to Python objects eagerly would cost
-    O(rows) per bag and double the index's memory; scalar ``answer_at``
+    O(rows) per bag and double the index's memory; a scalar descent
     only ever touches a handful of interface groups, so each group is
     materialized (with exactly the structure the Python engine builds)
-    on first access and then cached like a normal dict entry.
+    on first access and then cached like a normal dict entry.  Every
+    numpy point read (``answer_at``, and ``batch_access`` /
+    ``batch_rank`` of one) walks these groups, so a decoded group lives
+    as long as the forest.  Concurrent readers may decode the same
+    group at once; the write is once-only (``setdefault``), so all of
+    them get the same triple.
     """
 
     __slots__ = ("_aux", "_group_of")
@@ -213,9 +224,7 @@ class _LazyGroups(dict):
         values = [
             domain[c] for c in aux.values_flat[start:end].tolist()
         ]
-        triple = (values, weights, cumulative)
-        self[interface] = triple
-        return triple
+        return self.setdefault(interface, (values, weights, cumulative))
 
 
 class NumpyEngine(Engine):
@@ -657,9 +666,18 @@ class NumpyEngine(Engine):
     # -- batch access ------------------------------------------------------
 
     def batch_access(self, access, indices):
+        """Answers at validated indices; a batch descends vectorized.
+
+        A point read (exactly one index) is one scalar descent over the
+        decoded groups: the vector walk's per-level numpy calls cost
+        more than the whole descent of one lane.  Two or more indices
+        walk the forest level-synchronously: per level one
+        ``searchsorted`` finds every lane's interface group and one more
+        its candidate.
+        """
         indices = [int(i) for i in indices]
-        if not indices:
-            return []
+        if len(indices) <= 1:
+            return [access._walk_at(i) for i in indices]
         if access._total >= _MAX_SAFE:
             return self._fallback.batch_access(access, indices)
         levels = len(access._free_prefix)
@@ -728,18 +746,20 @@ class NumpyEngine(Engine):
     # -- inverse access ----------------------------------------------------
 
     def batch_rank(self, access, rows):
-        """Vectorized inverse access: all rows descend level-synchronously.
+        """Inverse access; a batch of rows descends level-synchronously.
 
-        Per level one ``searchsorted`` locates every row's interface
-        group and one more its candidate position inside the group (via
-        the :meth:`_BagAux.values_shifted` globally-ascending trick);
-        rows whose value or interface is absent are masked out and come
-        back ``None``.  The recurrence is the exact inverse of
+        A point read (exactly one row) is one scalar :func:`rank_walk`
+        over the decoded groups.  For two or more rows, per level one
+        ``searchsorted`` locates every row's interface group and one
+        more its candidate position inside the group (via the
+        :meth:`_BagAux.values_shifted` globally-ascending trick); rows
+        whose value or interface is absent are masked out and come back
+        ``None``.  The recurrence is the exact inverse of
         :meth:`batch_access`, so ranks round-trip.
         """
         rows = list(rows)
-        if not rows:
-            return []
+        if len(rows) <= 1:
+            return [rank_walk(access, row) for row in rows]
         if access._total == 0:
             return [None] * len(rows)
         if access._total >= _MAX_SAFE:

@@ -625,15 +625,6 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST: the protocol ------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.rstrip("/") != SESSION_ROUTE.rstrip("/"):
-            self._reply(
-                404,
-                error_body(
-                    f"unknown path {self.path!r}; "
-                    f"POST requests go to {SESSION_ROUTE}"
-                ),
-            )
-            return
         try:
             length = int(self.headers.get("Content-Length", ""))
             if length < 0:
@@ -669,6 +660,17 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         raw = self.rfile.read(length)
+        # The body is read even when the path is wrong: on a keep-alive
+        # socket unread body bytes would parse as the next request.
+        if self.path.rstrip("/") != SESSION_ROUTE.rstrip("/"):
+            self._reply(
+                404,
+                error_body(
+                    f"unknown path {self.path!r}; "
+                    f"POST requests go to {SESSION_ROUTE}"
+                ),
+            )
+            return
         # Malformed bodies are client errors: a structured 400, never a
         # 500/traceback (the request may be hostile or just confused).
         try:

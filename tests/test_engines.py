@@ -619,3 +619,307 @@ class TestSequenceLaws:
         reference = per_engine["python"]
         for engine, full in per_engine.items():
             assert full == reference, f"{engine} view disagrees"
+
+
+# -- point reads: the scalar descent behind a batch of one ----------------
+
+
+def _point_read_cases():
+    """``(label, query, order, database, projected)`` over catalog
+    queries, self-joins and projected suffixes, on small random data."""
+    from repro.query.catalog import (
+        example5_order,
+        example5_query,
+        four_cycle_query,
+        path_query,
+        running_selfjoin_query,
+        star_good_order,
+        star_query,
+        triangle_query,
+    )
+    from tests.conftest import random_database_for
+
+    rng = random.Random(2626)
+    catalog = [
+        ("path3", path_query(3), None),
+        ("triangle", triangle_query(), None),
+        ("four-cycle", four_cycle_query(), None),
+        ("example5", example5_query(), example5_order()),
+        ("star3", star_query(3), star_good_order(3)),
+        ("selfjoin", running_selfjoin_query(), None),
+        ("self-path", parse_query("Q(x, y, z) :- R(x, y), R(y, z)"), None),
+        ("self-repeat", parse_query("Q(x, y) :- R(x, x, y)"), None),
+    ]
+    for label, query, order in catalog:
+        order = order or VariableOrder(list(query.variables))
+        database = random_database_for(query, rng, rows=14, domain=4)
+        yield label, query, order, database, frozenset()
+    query = parse_query("Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)")
+    order = VariableOrder(["x", "y", "z", "w"])
+    database = random_database(query, rng, max_value=3)
+    for projected in ({"w"}, {"z", "w"}, {"y", "z", "w"}):
+        label = "projected-" + "".join(sorted(projected))
+        yield label, query, order, database, frozenset(projected)
+
+
+def _non_answers(access, answers):
+    """Rows that are no answer: wrong arity, absent values, unknown
+    interfaces, unhashable and incomparable values."""
+    width = len(access.free_variables)
+    rows = [(), (0,) * (width + 1), (10**6,) * width]
+    if width:
+        rows += [([1],) + (0,) * (width - 1), ("a",) * width]
+    for answer in answers[:5]:
+        for level in range(width):
+            for replacement in (10**6, [1], "a", -1):
+                row = list(answer)
+                row[level] = replacement
+                rows.append(tuple(row))
+    # Every in-domain combination that is not an answer (unknown
+    # interfaces, values absent under the reached group).
+    taken = set(answers)
+    rows += [
+        row
+        for row in itertools.product(range(4), repeat=width)
+        if row not in taken
+    ][:40]
+    return rows
+
+
+def _assert_point_equals_batch(numpy_access, python_access, indices, rows):
+    for i in indices:
+        point = numpy_access.answers_at([i])
+        assert point == [numpy_access.answers_at([i, i])[0]]
+        assert point == python_access.answers_at([i])
+    for row in rows:
+        point = numpy_access.ranks_of([row])
+        assert point == numpy_access.ranks_of([row, row])[:1]
+        assert point == python_access.ranks_of([row])
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "case", list(_point_read_cases()), ids=lambda case: case[0]
+)
+def test_point_read_equals_batch_read(case):
+    """A batch of one (scalar descent) answers exactly like a batch of
+    two (vector kernel) and like the Python engine, on every index,
+    every answer and a spread of non-answers."""
+    _label, query, order, database, projected = case
+    accesses = {}
+    for engine in ("python", "numpy"):
+        with use_engine(engine):
+            accesses[engine] = DirectAccess(
+                query, order, database, projected=projected
+            )
+    numpy_access, python_access = accesses["numpy"], accesses["python"]
+    count = len(numpy_access)
+    assert count, "every case has answers"
+    answers = python_access.tuples_at(range(count))
+    _assert_point_equals_batch(
+        numpy_access,
+        python_access,
+        [*range(count), -1],
+        answers + _non_answers(numpy_access, answers),
+    )
+
+
+@needs_numpy
+def test_point_read_equals_batch_read_on_empty_view():
+    query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
+    database = Database({"R": {(1, 2)}, "S": {(3, 4)}})
+    with use_engine("numpy"):
+        access = DirectAccess(query, VariableOrder(["x", "y", "z"]), database)
+    assert len(access) == 0
+    for row in [(1, 2, 4), (), ([1], 2, 3), ("a", "b", "c")]:
+        assert access.ranks_of([row]) == [None]
+        assert access.ranks_of([row, row]) == [None, None]
+
+
+@needs_numpy
+def test_point_read_equals_batch_read_over_object_dtype_bags():
+    """Above the int64 guard the vector kernel hands batches to the
+    Python walk; a point read walks the widened (object-dtype) groups
+    itself and must agree with both."""
+    import numpy as np
+
+    # A complete-bipartite path, 4 values wide and 31 variables long:
+    # 4**31 = 2**62 answers, so the top bags' weights widen.
+    m, levels = 4, 31
+    variables = [f"v{i}" for i in range(levels)]
+    atoms = ", ".join(
+        f"R{i}({variables[i]}, {variables[i + 1]})"
+        for i in range(levels - 1)
+    )
+    query = parse_query(f"Q({', '.join(variables)}) :- {atoms}")
+    pairs = {(a, b) for a in range(m) for b in range(m)}
+    database = Database(
+        {
+            f"R{i}": Relation(set(pairs), arity=2)
+            for i in range(levels - 1)
+        }
+    )
+    order = VariableOrder(variables)
+    accesses = {}
+    for engine in ("python", "numpy"):
+        with use_engine(engine):
+            accesses[engine] = DirectAccess(query, order, database)
+    numpy_access, python_access = accesses["numpy"], accesses["python"]
+    assert any(
+        index.aux.weights_flat.dtype == np.dtype(object)
+        for index in numpy_access._indexes
+    )
+    total = len(numpy_access)
+    rng = random.Random(7)
+    indices = [0, 1, total // 2, total - 1, -1] + [
+        rng.randrange(total) for _ in range(20)
+    ]
+    answers = python_access.tuples_at([i % total for i in indices])
+    _assert_point_equals_batch(
+        numpy_access,
+        python_access,
+        indices,
+        answers
+        + [(3,) * (levels - 1) + (m,), (0,) * (levels - 1), ("a",) * levels],
+    )
+
+
+class _CountingNumpy:
+    """``numpy`` with a call counter on ``searchsorted``."""
+
+    def __init__(self, numpy):
+        self._numpy = numpy
+        self.searchsorted_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._numpy, name)
+
+    def searchsorted(self, *args, **kwargs):
+        self.searchsorted_calls += 1
+        return self._numpy.searchsorted(*args, **kwargs)
+
+
+@needs_numpy
+def test_point_reads_never_enter_the_vector_kernel(monkeypatch):
+    """Tripwire: a warm ``view[i]`` / ``view[-1]`` / ``view.rank(t)``
+    is one scalar descent — zero ``searchsorted`` calls — while a page
+    still takes the vector kernel, and the per-batch counters move by
+    exactly one per point read."""
+    import numpy as np
+
+    from repro import connect
+    from repro.engine import numpy_engine
+
+    database = {
+        "R": {(i, i % 13) for i in range(400)},
+        "S": {(j, k) for j in range(13) for k in range(3)},
+    }
+    view = connect(database, engine="numpy").prepare(
+        "Q(x, y, z) :- R(x, y), S(y, z)", order=["y", "x", "z"]
+    )
+    answer = view[len(view) // 3]
+    view[-1], view.rank(answer), view.page(0, 20)  # warm every path
+    shim = _CountingNumpy(np)
+    monkeypatch.setattr(numpy_engine, "np", shim)
+
+    reads = [
+        lambda: view[7],
+        lambda: view[-1],
+        lambda: view.rank(answer),
+    ]
+    for read in reads:
+        before = view.op_counters()
+        read()
+        after = view.op_counters()
+        assert shim.searchsorted_calls == 0
+        moved = {
+            key: after.get(key, 0) - before.get(key, 0)
+            for key in ("access_batches", "rank_batches")
+        }
+        assert sum(moved.values()) == 1, moved
+    assert view.page(1, 20) == [view[i] for i in range(20, 40)]
+    assert shim.searchsorted_calls >= 1
+
+
+@needs_numpy
+def test_concurrent_first_touch_of_lazy_groups():
+    """Handler threads share one forest: four threads decoding the same
+    fresh groups at once all answer like the Python engine, raise no
+    ``KeyError`` and are handed one and the same decoded triple."""
+    import sys
+    import threading
+
+    from repro import connect
+
+    database = {
+        "R": {(i, i % 17) for i in range(300)},
+        "S": {(j, k) for j in range(17) for k in range(j % 5 + 1)},
+    }
+    query, order = "Q(x, y, z) :- R(x, y), S(y, z)", ["y", "z", "x"]
+    expected = list(
+        connect(database, engine="python").prepare(query, order=order)
+    )
+    workers = 4
+
+    def race(view):
+        """Per thread: its answers and the triple each lookup got."""
+        indexes = view._access._indexes
+        # Each thread mixes point reads with direct group lookups in
+        # its own order, so first touches race both ways.
+        tasks = [("read", i) for i in range(len(expected))] + [
+            ("group", level, interface)
+            for level, index in enumerate(indexes)
+            for interface in index.totals
+        ]
+        barrier = threading.Barrier(workers)
+        results: list = [None] * workers
+        errors: list = []
+
+        def reader(slot):
+            try:
+                mine = list(tasks)
+                random.Random(slot).shuffle(mine)
+                got, handed = {}, {}
+                barrier.wait()
+                for task in mine:
+                    if task[0] == "read":
+                        got[task[1]] = view[task[1]]
+                    else:
+                        _, level, interface = task
+                        handed[level, interface] = indexes[
+                            level
+                        ].groups[interface]
+                results[slot] = (
+                    [got[i] for i in range(len(expected))],
+                    handed,
+                )
+            except BaseException as error:  # noqa: BLE001 -- asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=reader, args=(slot,))
+            for slot in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(8):
+            view = connect(database, engine="numpy").prepare(
+                query, order=order
+            )
+            results = race(view)
+            assert all(answers == expected for answers, _ in results)
+            first = results[0][1]
+            for key, triple in first.items():
+                assert all(
+                    handed[key] is triple for _, handed in results[1:]
+                ), key
+    finally:
+        sys.setswitchinterval(interval)

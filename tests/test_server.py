@@ -124,7 +124,8 @@ REPLY_PATHS = {
         403,
     ),
     "404-get": (raw_request("GET", "/nope"), 404),
-    # Bodiless: neither front reads the body of a POST it answers 404.
+    # Bodiless: the async front does not read the body of a POST it
+    # answers 404 (the threaded one does; see TestWireShape).
     "404-post": (raw_request("POST", "/v2/session"), 404),
     "405": (raw_request("GET", "/v1/session"), 405),
     "411": (
@@ -869,6 +870,27 @@ class TestWireShape:
             list(view[-1]),
         ]
         assert second[2] == json.dumps(server.health()).encode()
+
+    def test_404_post_reads_its_body_before_the_next_request(
+        self, server
+    ):
+        """The body of a POST to an unknown path is consumed, so on a
+        keep-alive socket it is never parsed as the next request."""
+        stray = raw_request(
+            "POST", "/nope", json.dumps({"op": "stats"}).encode()
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as sock:
+            sock.sendall(stray + raw_op({"op": "stats"}))
+            stream = sock.makefile("rb")
+            first, second = read_reply(stream), read_reply(stream)
+        self.assert_head(first, 404, self.HEADERS)
+        assert json.loads(first[2])["error"].startswith(
+            "unknown path '/nope'"
+        )
+        self.assert_head(second, 200, self.HEADERS)
+        assert json.loads(second[2])["ok"] is True
 
     def test_503_adds_retry_after(self, server, monkeypatch):
         monkeypatch.setattr(server, "execute", overloaded)
