@@ -1,7 +1,7 @@
 """Static analysis: the project's invariants, checked at review time.
 
-Nine PRs of serving stack — threads, asyncio, worker processes,
-shared memory, a WAL, MVCC snapshots — hold together through a small
+A serving stack — two HTTP fronts, a shared artifact store, a WAL,
+MVCC snapshots — holds together through a small
 set of invariants (lock discipline, the ReproError taxonomy, the
 ChaosCrash pass-through contract, engine purity, registry/doc sync).
 The runtime suites and the chaos harness enforce them *after* the

@@ -1,9 +1,8 @@
 """Deterministic fault injection: named sites, seeded schedules.
 
 Production failure modes — a disk that errors under ``fsync``, a torn
-record at the WAL tail, a worker process that dies mid-request, a
-shard replica that stops answering — are rare by construction and
-therefore almost never exercised.  This module makes them *cheap to
+record at the WAL tail, a server that stops answering mid-request —
+are rare by construction and therefore almost never exercised.  This module makes them *cheap to
 summon and exact to replay*: every injection site in the codebase is a
 named entry in :data:`FAULT_POINTS`, and an armed :class:`ChaosPlan`
 decides, deterministically from a seed, which calls to a site actually
@@ -17,15 +16,13 @@ Design constraints, in order:
 * **deterministic** — schedules are counters (``nth=N``, ``once``) or
   draws from a ``random.Random`` seeded by ``(plan seed, site name)``,
   so the same spec + seed fires at exactly the same calls, every run.
-* **inheritable** — worker *processes* (spawned fresh, no fork state)
-  arm themselves from the ``REPRO_CHAOS`` environment variable at
-  import, or from the ``chaos`` field on their
-  :class:`~repro.server.worker.WorkerSpec`, so a plan armed on the
-  supervisor reaches the whole tree.
+* **inheritable** — a fresh interpreter (a ``repro serve`` subprocess,
+  say) arms itself from the ``REPRO_CHAOS`` environment variable at
+  import, so a plan reaches a process its launcher cannot call into.
 
 The spec grammar (also what ``REPRO_CHAOS`` holds)::
 
-    seed=7,wal.fsync:nth=3,client.timeout:p=0.25,shm.attach:once
+    seed=7,wal.fsync:nth=3,client.timeout:p=0.25,client.disconnect:once
 
 Entries are comma- (or semicolon-) separated.  ``seed=N`` seeds the
 probabilistic schedules; each other entry is ``<site>[:<schedule>]``
@@ -59,21 +56,6 @@ FAULT_POINTS: dict[str, str] = {
         "a full record line is written whose checksum does not match "
         "its payload, then the process dies"
     ),
-    "pool.crash_before_publish": (
-        "a worker process is killed after receiving a request but "
-        "before publishing its response on the control pipe"
-    ),
-    "pool.crash_after_publish": (
-        "a worker process is killed immediately after its response "
-        "was published (the client saw the acknowledgement)"
-    ),
-    "pool.slow_ping": (
-        "a worker answers its health ping only after an injected delay"
-    ),
-    "shm.attach": (
-        "attaching a published shared-memory segment fails (the OS "
-        "name is gone or the open races a teardown)"
-    ),
     "client.timeout": (
         "an HTTP client request times out before any byte arrives"
     ),
@@ -86,7 +68,7 @@ FAULT_POINTS: dict[str, str] = {
 }
 
 #: Environment variable holding a chaos spec; read once at import so
-#: spawned worker processes inherit the plan with no plumbing.
+#: a subprocess inherits the plan with no plumbing.
 ENV_VAR = "REPRO_CHAOS"
 
 
@@ -212,8 +194,8 @@ class ChaosPlan:
 
 
 # The armed plan.  ``None`` is the production state: every fire() is a
-# global read + None check.  Import-time env arming means spawn-started
-# worker processes (which import this module fresh) inherit the plan.
+# global read + None check.  Import-time env arming means a fresh
+# interpreter (which imports this module anew) inherits the plan.
 _PLAN: ChaosPlan | None = None
 if os.environ.get(ENV_VAR):
     _PLAN = ChaosPlan(os.environ[ENV_VAR])

@@ -1,6 +1,6 @@
 """The chaos runner: drive, crash, restart, model-check, report.
 
-One run is fully determined by ``(seed, ops, faults, engine, procs)``:
+One run is fully determined by ``(seed, ops, faults, engine)``:
 the seed fixes the initial database, the op stream, and every fault
 schedule, so any failure replays from its report's reproduction line
 alone.  The runner drives :class:`~repro.server.http.ServingCore`
@@ -32,20 +32,10 @@ from repro.chaos.workload import Workload, WorkloadOp, seed_database
 WAL_FAULTS = (
     "wal.fsync:nth=13,wal.torn_write:nth=29,wal.corrupt_crc:nth=37"
 )
-POOL_FAULTS = (
-    "pool.crash_before_publish:nth=43,"
-    "pool.crash_after_publish:nth=53,pool.slow_ping:nth=7"
-)
 
-#: Read failures chaos may legitimately cause (a killed worker, an
-#: evicted snapshot): tolerated, never adopted as state.
-_TOLERATED_READ_ERRORS = frozenset(
-    {"StaleViewError", "WorkerCrashError", "OverloadedError"}
-)
-
-
-def default_faults(procs: int | None) -> str:
-    return WAL_FAULTS + ("," + POOL_FAULTS if procs else "")
+#: Read failures chaos may legitimately cause (an evicted snapshot, a
+#: full queue): tolerated, never adopted as state.
+_TOLERATED_READ_ERRORS = frozenset({"StaleViewError", "OverloadedError"})
 
 
 @dataclass
@@ -56,7 +46,6 @@ class ChaosReport:
     ops: int
     faults: str
     engine: str
-    procs: int | None
     verdict: str = "pass"
     executed: int = 0
     crashes: int = 0
@@ -75,7 +64,6 @@ class ChaosReport:
             "ops": self.ops,
             "faults": self.faults,
             "engine": self.engine,
-            "procs": self.procs,
             "verdict": self.verdict,
             "executed": self.executed,
             "crashes": self.crashes,
@@ -205,7 +193,6 @@ def run_chaos(
     ops: int = 300,
     faults_spec: str | None = None,
     engine: str | None = None,
-    procs: int | None = None,
     quick: bool = False,
     workers: int = 2,
 ) -> ChaosReport:
@@ -215,7 +202,7 @@ def run_chaos(
     from repro.data.wal import WriteAheadLog
     from repro.server.http import ServingCore
 
-    spec = faults_spec if faults_spec is not None else default_faults(procs)
+    spec = faults_spec if faults_spec is not None else WAL_FAULTS
     armed_spec = None
     if spec:
         armed_spec = spec if "seed=" in spec else f"seed={seed},{spec}"
@@ -250,7 +237,6 @@ def run_chaos(
             engine=engine,
             workers=workers,
             capacity=32,
-            procs=procs,
             wal=wal_path,
             chaos=armed_spec,
         )
@@ -258,7 +244,7 @@ def run_chaos(
     def shutdown(core) -> None:
         harvest()
         try:
-            core.close(timeout=10.0)
+            core.close()
         except Exception:  # the core is being discarded post-crash
             faults.disarm()
 
@@ -267,7 +253,6 @@ def run_chaos(
         ops=ops,
         faults=spec or "",
         engine="",
-        procs=procs,
     )
     core = boot()
     report.engine = core.store.engine.name
@@ -368,10 +353,8 @@ def run_chaos(
             f"repro chaos --seed {seed} "
             f"--ops {violations[0].op_index + 1}"
         )
-        if spec is not None and spec != default_faults(procs):
+        if spec is not None and spec != WAL_FAULTS:
             line += f" --faults '{spec}'"
-        if procs:
-            line += f" --procs {procs}"
         if quick:
             line += " --quick"
         line += f" --engine {report.engine}"
@@ -381,8 +364,6 @@ def run_chaos(
 
 __all__ = [
     "ChaosReport",
-    "POOL_FAULTS",
     "WAL_FAULTS",
-    "default_faults",
     "run_chaos",
 ]

@@ -256,7 +256,6 @@ def cmd_chaos(args) -> int:
             ops=args.ops,
             faults_spec=faults_spec,
             engine=args.engine,
-            procs=args.procs,
             quick=args.quick,
             workers=args.workers,
         )
@@ -267,9 +266,7 @@ def cmd_chaos(args) -> int:
     else:
         print(
             f"chaos seed={report.seed} ops={report.ops} "
-            f"engine={report.engine}"
-            + (f" procs={report.procs}" if report.procs else "")
-            + f": {report.verdict.upper()}"
+            f"engine={report.engine}: {report.verdict.upper()}"
         )
         print(
             f"  executed={report.executed} crashes={report.crashes} "
@@ -315,13 +312,8 @@ def cmd_serve(args) -> int:
             port=args.port,
             stats_per_worker=args.stats_per_worker,
             verbose=args.verbose,
-            procs=args.procs,
-            shards=args.shards,
             read_only=args.read_only,
-            shard_relation=args.shard_relation,
-            shard_variable=args.shard_variable,
             queue_depth=args.queue_depth,
-            shard_backends=args.shard_backend or None,
             wal=args.wal,
             retain_versions=args.retain_versions,
             request_timeout=args.request_timeout,
@@ -342,10 +334,9 @@ def cmd_serve(args) -> int:
     except (ValueError, ReproError) as error:
         raise SystemExit(str(error)) from None
     # SIGTERM must drain exactly like Ctrl-C: stop accepting, let
-    # in-flight requests finish, detach and unlink every shared-memory
-    # segment.  Both fronts expose request_shutdown() because the
-    # blocking shutdown path cannot run on this main thread — the
-    # threaded front's httpd.shutdown() *blocks* until serve_forever
+    # in-flight requests finish, close the WAL.  Both fronts expose
+    # request_shutdown() because the blocking shutdown path cannot run
+    # on this main thread — the threaded front's httpd.shutdown() *blocks* until serve_forever
     # (below, on this same thread) exits, and the async front's stop
     # event lives on the loop thread.  Installing a handler is only
     # legal on the main thread — embedded callers (tests drive main()
@@ -369,14 +360,12 @@ def cmd_serve(args) -> int:
             server.start()
         except OSError as error:
             raise SystemExit(str(error)) from None
-    mode = server.health()["mode"]
     front = "async" if args.async_front else "threads"
     bound = "" if args.query is None else f"  query: {args.query}"
     flags = "  read-only" if server.read_only else ""
     print(
         f"repro serving on {server.url}  |D|={len(database)}  "
-        f"engine={server.store.engine.name}  mode={mode}  "
-        f"front={front}  "
+        f"engine={server.store.engine.name}  front={front}  "
         f"workers={server.workers}{flags}{bound}",
         flush=True,
     )
@@ -398,8 +387,12 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.shutdown()
-    if server.clean_shutdown is False:
-        print("unclean drain: a worker had to be terminated", flush=True)
+    if args.async_front and not server.clean_shutdown:
+        # The threaded front always drains: it joins, never cancels.
+        print(
+            "unclean drain: an in-flight request was cancelled",
+            flush=True,
+        )
         return 1
     return 0
 
@@ -632,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve with the asyncio front: one event loop "
         "multiplexes all connections onto the worker pool "
-        "(same wire protocol; combines with every mode)",
+        "(same wire protocol)",
     )
     serve.add_argument(
         "--queue-depth",
@@ -654,40 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="socket read/write timeout in seconds (default 30); "
         "stalled clients lose the connection, not a worker",
-    )
-    serve.add_argument(
-        "--shard-backend",
-        action="append",
-        default=[],
-        metavar="URL",
-        help="serve by fanning reads out to this remote repro-serve "
-        "replica (repeatable, one per range shard, in shard order; "
-        "read-only, needs --query)",
-    )
-    serve.add_argument(
-        "--procs",
-        type=int,
-        default=None,
-        help="serve with N worker processes attached zero-copy to "
-        "one shared-memory database (default: in-process threads)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve with one process per range shard of the "
-        "partitioned relation (read-only; needs --query)",
-    )
-    serve.add_argument(
-        "--shard-relation",
-        default=None,
-        help="partition this relation (default: largest candidate)",
-    )
-    serve.add_argument(
-        "--shard-variable",
-        default=None,
-        help="shard on this leading variable (default: the advisor's "
-        "preferred order decides)",
     )
     serve.add_argument(
         "--wal",
@@ -734,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the deterministic crash/recovery chaos harness",
         description="Drive a live serving core with seeded mixed "
-        "traffic while injecting faults (torn WAL writes, worker "
-        "kills, lost fsyncs), crash and restart it, and model-check "
+        "traffic while injecting faults (torn WAL writes, corrupt "
+        "records, lost fsyncs), crash and restart it, and model-check "
         "that no acknowledged write is lost, no unacknowledged write "
         "is resurrected, and pinned snapshots stay bit-identical. "
         "Fully deterministic: the same seed replays the same run.",
@@ -757,19 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="SPEC",
-        help="fault plan (default: every WAL site, plus the pool "
-        "sites under --procs); 'none' disables injection",
+        help="fault plan (default: every WAL site); 'none' disables "
+        "injection",
     )
     chaos.add_argument(
         "--engine",
         default=None,
         help="serve with this engine (default: the resolved one)",
-    )
-    chaos.add_argument(
-        "--procs",
-        type=int,
-        default=None,
-        help="run the process-pool mode with N workers",
     )
     chaos.add_argument(
         "--workers",

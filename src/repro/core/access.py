@@ -260,10 +260,10 @@ class DirectAccess:
 
         Negative indices count from the end, like :meth:`__getitem__`.
         Raises :class:`~repro.errors.OutOfBoundsError` if any index
-        falls outside ``[-len, len)``.  Under the numpy engine the whole
-        batch is resolved level-synchronously with vectorized binary
-        searches; the result is identical to calling :meth:`answer_at`
-        per index.
+        falls outside ``[-len, len)``.  Under the numpy engine a batch
+        of two or more is resolved level-synchronously with vectorized
+        binary searches, and a batch of one takes the scalar descent;
+        the result is identical to calling :meth:`answer_at` per index.
         """
         normalized: list[int] = []
         for requested in indices:
@@ -324,8 +324,9 @@ class DirectAccess:
         """Batch :meth:`rank_of`: one rank (or ``None``) per input row.
 
         Resolved by the engine in one batch — level-synchronous
-        vectorized binary searches under numpy, one reference
-        :func:`~repro.engine.base.rank_walk` per row under Python.
+        vectorized binary searches under numpy for two or more rows,
+        one reference :func:`~repro.engine.base.rank_walk` per row
+        under Python and for a single row under numpy.
         """
         rows = list(rows)
         counters = self._engine.counters

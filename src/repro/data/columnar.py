@@ -68,10 +68,9 @@ class Dictionary:
     def from_sorted(cls, values: list) -> "Dictionary":
         """Wrap an *already sorted, duplicate-free* value list.
 
-        The shared-memory attach path reconstructs dictionaries from a
-        published value blob that the primary sorted once; re-sorting
-        (and re-deduplicating) per worker would cost O(n log n) per
-        attach for nothing.  The caller owns the invariant.
+        :meth:`renumbered` merges two sorted runs into one; re-sorting (and
+        re-deduplicating) the result would cost O(n log n) for nothing.
+        The caller owns the invariant.
         """
         self = object.__new__(cls)
         self.values = values

@@ -69,9 +69,8 @@ class Delta:
 
     def __reduce__(self):
         # __slots__ plus the raising __setattr__ above breaks default
-        # unpickling (it restores state attribute-by-attribute), and
-        # deltas must travel to worker processes; rebuild through
-        # __init__ instead.
+        # unpickling and copying (both restore state attribute by
+        # attribute); rebuild through __init__ instead.
         return (self.__class__, (self.inserts, self.deletes))
 
     @classmethod

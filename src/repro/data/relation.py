@@ -50,20 +50,6 @@ class Relation:
         self._columnar = mirror
         return self
 
-    @classmethod
-    def from_columnar(cls, mirror) -> "Relation":
-        """A relation backed by a dictionary-encoded mirror.
-
-        The tuple set is *not* materialized here: worker processes that
-        attach a shared-memory code matrix serve most requests straight
-        off the codes, and decoding every row per worker would defeat
-        the one-physical-copy design.  Python-object views
-        (``tuples``, ``sorted_tuples``) decode on first use; mirror
-        rows are stored in sorted order, so the decode *is* the sorted
-        view.
-        """
-        return cls._make(None, mirror.arity, None, mirror)
-
     def with_mirror(self, mirror) -> "Relation":
         """A private copy of this relation carrying ``mirror`` (or no
         mirror) instead of its own.
@@ -75,7 +61,7 @@ class Relation:
         list are immutable once built and stay shared.
         """
         return Relation._make(
-            self.tuples if mirror is None else self._tuples,
+            self._tuples,
             self._arity,
             self._sorted,
             mirror,
@@ -118,22 +104,15 @@ class Relation:
 
     @property
     def tuples(self) -> frozenset[tuple]:
-        if self._tuples is None:
-            self._tuples = frozenset(self.sorted_tuples())
         return self._tuples
 
     def sorted_tuples(self) -> list[tuple]:
         """Tuples in lexicographic order (cached)."""
         if self._sorted is None:
-            if self._tuples is None:
-                self._sorted = self._columnar.to_rows()
-            else:
-                self._sorted = sorted(self._tuples)
+            self._sorted = sorted(self._tuples)
         return self._sorted
 
     def __len__(self) -> int:
-        if self._tuples is None:
-            return self._columnar.nrows
         return len(self._tuples)
 
     def __iter__(self):

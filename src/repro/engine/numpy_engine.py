@@ -166,9 +166,8 @@ def bag_index_from_aux(aux: "_BagAux") -> BagIndex:
     Totals are decoded eagerly (needed by parent builds and any
     Python-path fallback); the per-group candidate lists are
     materialized lazily from the CSR mirror with exactly the structure
-    the Python engine builds.  Shared by the in-process build tail and
-    the shared-memory attach path, which reconstructs indexes from
-    published mirror arrays instead of re-running the lexsort build.
+    the Python engine builds.  The tail of every numpy bag build, the
+    empty bag included.
     """
     index = BagIndex()
     index.aux = aux

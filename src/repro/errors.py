@@ -82,16 +82,6 @@ class OverloadedError(ReproError):
     """
 
 
-class WorkerCrashError(ReproError):
-    """A serving worker process died while handling the request.
-
-    The supervisor respawns the worker and re-attaches it to the
-    shared-memory artifact plane; the in-flight request that rode the
-    crash gets this error instead of hanging.  Retrying is safe for
-    read ops (they are idempotent).
-    """
-
-
 class WalError(ReproError):
     """A write-ahead log file is unreadable, corrupt, or inconsistent.
 

@@ -16,19 +16,10 @@ Workers are real: each serving thread checks a per-worker
 and two workers can preprocess *different* decompositions concurrently
 while racing workers build the *same* artifact exactly once.
 
-Process-parallel serving (``procs=N`` / ``shards=N``) swaps the
-in-process pool for real worker *processes* supervised by a
-:class:`~repro.server.pool.WorkerPool`: the encoded database (and
-numpy-engine counting forests) live once in named shared-memory
-segments (:class:`~repro.server.shm.SharedArtifactPlane`,
-:mod:`repro.data.flatbuf`) and every worker attaches zero-copy.
-Sharded mode additionally range-partitions one relation and merges
-per-shard answers by prefix counts
-(:mod:`repro.session.sharding`) — bit-identical to unsharded serving,
-whether the shards are local worker processes or remote ``repro
-serve`` replicas reached through :class:`HTTPShardExecutor`
-(``shard_backends=[url, ...]``).  The wire protocol is the same in
-every mode.
+One process serves: the counting forests, the shared store and the
+MVCC snapshots live once in the serving process, and ``--workers``
+threads read them (``docs/architecture.md``, "Why one process", has
+the measurement).
 
 Both fronts wrap one transport-independent :class:`ServingCore`:
 the threaded :class:`ReproServer` and the asyncio
@@ -43,27 +34,16 @@ See ``docs/architecture.md`` for the layer map and
 """
 
 from repro.server.aio import AsyncReproServer
-from repro.server.client import (
-    HTTPConnection,
-    HTTPShardExecutor,
-    RemoteAnswerView,
-)
+from repro.server.client import HTTPConnection, RemoteAnswerView
 from repro.server.http import ReproServer, ServingCore, serve
-from repro.server.pool import LocalDispatcher, WorkerPool
-from repro.server.shm import Publication, SharedArtifactPlane
-from repro.server.worker import WorkerSpec
+from repro.server.pool import LocalDispatcher
 
 __all__ = [
     "AsyncReproServer",
     "HTTPConnection",
-    "HTTPShardExecutor",
     "LocalDispatcher",
-    "Publication",
     "RemoteAnswerView",
     "ReproServer",
     "ServingCore",
-    "SharedArtifactPlane",
-    "WorkerPool",
-    "WorkerSpec",
     "serve",
 ]

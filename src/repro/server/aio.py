@@ -9,7 +9,7 @@ HTTP/1.1 itself (keep-alive, pipelining-safe framing, per-read
 timeouts, a connection ceiling) and hands each decoded
 :class:`~repro.session.SessionRequest` to the same
 :class:`~repro.server.http.ServingCore` the threaded front wraps —
-same bounded depth-aware dispatch, same backends, same wire shapes.
+same bounded depth-aware dispatch, same wire shapes.
 Connections are cheap (a coroutine and a buffer, no thread), so
 thousands of keep-alive clients can sit open while at most
 ``workers × queue_depth`` requests are actually admitted; the gap
@@ -118,14 +118,8 @@ class AsyncReproServer:
         port: int = 0,
         stats_per_worker: bool = False,
         verbose: bool = False,
-        procs: int | None = None,
-        shards: int | None = None,
         read_only: bool = False,
-        shard_relation: str | None = None,
-        shard_variable: str | None = None,
-        start_method: str = "spawn",
         queue_depth: int | None = None,
-        shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
         chaos: str | None = None,
@@ -146,14 +140,8 @@ class AsyncReproServer:
             cache_slack=cache_slack,
             default_query=default_query,
             stats_per_worker=stats_per_worker,
-            procs=procs,
-            shards=shards,
             read_only=read_only,
-            shard_relation=shard_relation,
-            shard_variable=shard_variable,
-            start_method=start_method,
             queue_depth=queue_depth,
-            shard_backends=shard_backends,
             wal=wal,
             retain_versions=retain_versions,
             chaos=chaos,
@@ -202,10 +190,6 @@ class AsyncReproServer:
     @property
     def read_only(self) -> bool:
         return self.core.read_only
-
-    @property
-    def _backend(self):
-        return self.core._backend
 
     # -- addresses ---------------------------------------------------------
 
@@ -312,10 +296,9 @@ class AsyncReproServer:
             thread.join(timeout=0.5)
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop accepting, drain connections and workers, unlink
-        shared memory.  Sets :attr:`clean_shutdown`: ``True`` when
-        every in-flight request finished and every worker drained
-        cleanly.  Idempotent."""
+        """Stop accepting, drain connections, close the WAL.  Sets
+        :attr:`clean_shutdown`: ``True`` when every in-flight request
+        finished within ``drain_timeout``.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -324,11 +307,11 @@ class AsyncReproServer:
             self._thread.join(timeout=timeout + self.drain_timeout)
             self._thread = None
         self._executor.shutdown(wait=False)
-        clean = self.core.close(timeout=timeout)
-        self.clean_shutdown = clean and self._drained_clean
+        self.core.close()
+        self.clean_shutdown = self._drained_clean
 
     def close(self, timeout: float = 10.0) -> None:
-        """Alias for :meth:`shutdown` (symmetry with the pool/plane)."""
+        """Alias for :meth:`shutdown`."""
         self.shutdown(timeout=timeout)
 
     def __enter__(self) -> "AsyncReproServer":
@@ -455,17 +438,6 @@ class AsyncReproServer:
                 keep_alive=keep_alive,
             )
             return keep_alive
-        if path.rstrip("/") != SESSION_ROUTE.rstrip("/"):
-            await self._send(
-                writer,
-                404,
-                error_body(
-                    f"unknown path {path!r}; "
-                    f"POST requests go to {SESSION_ROUTE}"
-                ),
-                keep_alive=keep_alive,
-            )
-            return keep_alive
         try:
             length = int(headers.get("content-length", ""))
             if length < 0:
@@ -495,6 +467,19 @@ class AsyncReproServer:
         raw = await asyncio.wait_for(
             reader.readexactly(length), self.request_timeout
         )
+        # The body is read even when the path is wrong: on a keep-alive
+        # socket unread body bytes would parse as the next request.
+        if path.rstrip("/") != SESSION_ROUTE.rstrip("/"):
+            await self._send(
+                writer,
+                404,
+                error_body(
+                    f"unknown path {path!r}; "
+                    f"POST requests go to {SESSION_ROUTE}"
+                ),
+                keep_alive=keep_alive,
+            )
+            return keep_alive
         try:
             request = SessionRequest.from_json(raw.decode("utf-8"))
         except UnicodeDecodeError:
@@ -556,7 +541,8 @@ class AsyncReproServer:
         elif path == "/stats":
             import json
 
-            # Stats aggregation takes backend locks: off the loop too.
+            # Stats aggregation takes the store and dispatch locks:
+            # off the loop too.
             stats = await self._loop.run_in_executor(
                 self._executor, self.stats
             )

@@ -56,7 +56,6 @@ from repro.session.protocol import (
 )
 
 import repro.errors as _errors
-import repro.session.sharding as _sharding
 
 
 def normalize_base_url(url: str) -> str:
@@ -210,72 +209,6 @@ def _raise_remote(response: SessionResponse) -> None:
     if isinstance(exc_type, type) and issubclass(exc_type, ReproError):
         raise exc_type(message)
     raise ReproError(message)
-
-
-class HTTPShardExecutor(_sharding.ShardExecutor):
-    """Sharded serving over *remote* replicas: one ``repro serve``
-    process per range-shard, reached through the keep-alive pool.
-
-    The HTTP instance of the :class:`~repro.session.sharding.
-    ShardExecutor` seam: ``execute(index, request)`` POSTs the request
-    to replica ``index`` and returns its response dict — which is
-    byte-for-byte what a local shard connection's
-    ``execute(...).to_dict()`` produces, because the protocol's JSON
-    encoding round-trips every value it carries (the differential
-    suite in ``tests/test_sharding.py`` proves the two transports
-    bit-identical across the full op matrix).  The merge math in
-    :class:`~repro.session.sharding.ShardedExecutor` is unchanged;
-    only the transport moved across the network.
-
-    Each replica gets its own :class:`_KeepAlivePool`, so a fan-out
-    over N shards reuses N parked sockets instead of paying N
-    handshakes per request.  Replica ``index`` must serve exactly the
-    database ``shard_databases(...)[index]`` describes — the executor
-    ships requests verbatim and trusts the plan.
-
-    Args:
-        urls: base URL per shard, in shard order (length = plan.shards).
-        timeout: per-request socket timeout, seconds.
-    """
-
-    def __init__(self, urls, timeout: float = 30.0):
-        urls = [normalize_base_url(url) for url in urls]
-        if not urls:
-            raise ProtocolError(
-                "HTTPShardExecutor needs at least one replica URL"
-            )
-        self.replicas = tuple(urls)
-        self._pools = [_KeepAlivePool(url, timeout) for url in urls]
-
-    def execute(self, index: int, request: SessionRequest) -> dict:
-        pool = self._pools[index]
-        try:
-            _status, body = pool.request(
-                "POST",
-                SESSION_ROUTE,
-                body=request.to_json().encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-        except (http.client.HTTPException, OSError) as error:
-            raise ReproError(
-                f"shard replica {index} at {self.replicas[index]} "
-                f"is unreachable: {error}"
-            ) from None
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ProtocolError(
-                f"shard replica {index} at {self.replicas[index]} "
-                "did not answer with JSON — is this really a repro "
-                "server?"
-            ) from None
-
-    def close(self) -> None:
-        for pool in self._pools:
-            pool.close()
-
-    def __repr__(self) -> str:
-        return f"HTTPShardExecutor({list(self.replicas)!r})"
 
 
 class HTTPConnection:
@@ -650,7 +583,6 @@ class RemoteAnswerView(WindowedAnswers):
 
 __all__ = [
     "HTTPConnection",
-    "HTTPShardExecutor",
     "RemoteAnswerView",
     "normalize_base_url",
 ]

@@ -8,10 +8,9 @@ the protocol work (parsing, validation, execution) already lives in
 :mod:`repro.session.protocol` and is transport-independent.
 
 The serving state itself is transport-independent too:
-:class:`ServingCore` owns the store, the worker backend (in-process
-connections, worker processes, range shards, or remote shard
-replicas), depth-aware dispatch, and the health/stats views.  Two
-fronts wrap one core — :class:`ReproServer` (threads, this module) and
+:class:`ServingCore` owns the store, the per-worker connections,
+depth-aware dispatch, and the health/stats views.  Two fronts wrap
+one core — :class:`ReproServer` (threads, this module) and
 :class:`~repro.server.aio.AsyncReproServer` (``repro serve --async``,
 an asyncio event loop) — and answer byte-identical wire shapes.
 
@@ -27,7 +26,7 @@ Routes (full spec in ``docs/protocol.md``):
   every worker queue is full, admission fails fast: HTTP 503 with a
   ``Retry-After`` header and ``error_type`` ``OverloadedError``.
 * ``GET /healthz`` — liveness: package + protocol versions, engine,
-  worker count, front and mode.
+  worker count and front.
 * ``GET /stats`` — the shared store's build/cache counters, the
   transport's own op counters, dispatch-queue depths, and the worker
   sessions' counters *aggregated into totals* (one dict however many
@@ -185,9 +184,9 @@ class _ServerCounters:
 class ServingCore:
     """Transport-independent serving state behind every HTTP front.
 
-    Owns the shared :class:`~repro.session.ArtifactStore`, the worker
-    backend (threads / procs / shards / remote shard replicas),
-    depth-aware bounded dispatch, and the health/stats views.  The
+    Owns the shared :class:`~repro.session.ArtifactStore`, one
+    :class:`~repro.Connection` per worker, depth-aware bounded
+    dispatch, and the health/stats views.  The
     threaded :class:`ReproServer` and the asyncio
     :class:`~repro.server.aio.AsyncReproServer` each wrap one core and
     add only connection handling — which is why ``--async`` changes
@@ -198,8 +197,7 @@ class ServingCore:
             (or a plain mapping of relation names to tuple iterables).
         engine: execution engine for the shared store (name, instance,
             or ``None`` for the active engine's kind).
-        workers: size of the in-process ``Connection`` pool (ignored
-            when ``procs``/``shards``/``shard_backends`` is given).
+        workers: size of the in-process ``Connection`` pool.
         capacity: per-kind artifact-cache capacity of the shared store.
         cache_slack: cache-aware planning slack of worker sessions.
         default_query: a query (text or parsed) backing requests that
@@ -207,23 +205,17 @@ class ServingCore:
             query.
         stats_per_worker: include a bounded per-worker breakdown in
             ``stats()``.
-        procs / shards / read_only / shard_relation / shard_variable /
-            start_method: as on :class:`ReproServer`.
+        read_only: refuse ``insert``/``delete``/``apply`` with
+            :class:`~repro.errors.ReadOnlyError` (HTTP 403).
         queue_depth: bound on each worker's pending-request queue
             (``None`` → :data:`~repro.server.pool.DEFAULT_QUEUE_DEPTH`);
             a fleet with every queue full rejects admission with
             :class:`~repro.errors.OverloadedError` (HTTP 503).
-        shard_backends: base URLs of remote ``repro serve`` replicas,
-            one per range shard — reads fan out over HTTP and merge by
-            prefix counts (read-only; needs ``default_query``).
-            Exclusive with ``procs`` and ``shards``.
         wal: path of a :class:`~repro.data.wal.WriteAheadLog` — the
             log is replayed over ``database`` at boot (crash
             recovery), then every applied delta is appended *before*
             it touches the store, so a crash mid-apply replays to the
-            exact pre-crash version.  Exclusive with
-            ``shards``/``shard_backends`` (sharded serving is
-            read-only).
+            exact pre-crash version.
         retain_versions: MVCC snapshot window of the shared store
             (``None`` → :data:`repro.session.mvcc.DEFAULT_RETAIN`).
     """
@@ -237,32 +229,14 @@ class ServingCore:
         cache_slack=0,
         default_query=None,
         stats_per_worker: bool = False,
-        procs: int | None = None,
-        shards: int | None = None,
         read_only: bool = False,
-        shard_relation: str | None = None,
-        shard_variable: str | None = None,
-        start_method: str = "spawn",
         queue_depth: int | None = None,
-        shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
         chaos: str | None = None,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-        if procs is not None and shards is not None:
-            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-                "procs and shards are exclusive: sharded serving "
-                "already runs one process per shard"
-            )
-        if shard_backends is not None and (
-            procs is not None or shards is not None
-        ):
-            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-                "shard_backends is exclusive with procs/shards: the "
-                "shards already live on the remote replicas"
-            )
         self.queue_depth = (
             DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth
         )
@@ -271,18 +245,8 @@ class ServingCore:
                 f"need a queue depth of at least one, got "
                 f"{self.queue_depth}"
             )
-        if wal is not None and (
-            shards is not None or shard_backends is not None
-        ):
-            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-                "wal is exclusive with shards/shard_backends: sharded "
-                "serving is read-only, there are no deltas to log"
-            )
         self.stats_per_worker = stats_per_worker
-        # Arm fault injection for this process and remember the spec so
-        # worker *processes* inherit it through their WorkerSpec (the
-        # REPRO_CHAOS environment variable covers them too, but a
-        # config field survives env-scrubbing process managers).
+        # Arm fault injection for this process; close() disarms it.
         self.chaos = chaos
         if chaos is not None:
             from repro.chaos import faults
@@ -295,24 +259,14 @@ class ServingCore:
         if wal is not None:
             # Recovery before anything is built: replay the log over
             # the boot database (seeding a fresh log with a version-0
-            # snapshot so it is self-contained), so the store — and
-            # every worker attaching to it — starts at the exact
-            # pre-crash version.
+            # snapshot so it is self-contained), so the store starts at
+            # the exact pre-crash version.
             from repro.data.wal import WriteAheadLog
 
             self.wal = WriteAheadLog(wal)
             database, db_version = self.wal.recover(
                 database, seed=True
             )
-        if procs is not None or shards is not None:
-            # The artifact plane ships flat buffers of the *shared*
-            # encoding; realize it up front so publication is
-            # zero-conversion (a plain Database would fall back to
-            # pickling whole databases into every worker).
-            from repro.data.database import EncodedDatabase
-
-            if not isinstance(database, EncodedDatabase):
-                database = EncodedDatabase(database.relations)
         if isinstance(default_query, str):
             default_query = parse_query(default_query)
         if default_query is not None:
@@ -331,69 +285,15 @@ class ServingCore:
             wal=self.wal,
         )
         self.default_query = default_query
-        self.read_only = bool(read_only) or shards is not None or (
-            shard_backends is not None
+        self.read_only = bool(read_only)
+        self.workers = workers
+        self._connections = [
+            Connection(self.store.session(cache_slack))
+            for _ in range(workers)
+        ]
+        self._dispatcher = LocalDispatcher(
+            self._connections, max_queue_depth=self.queue_depth
         )
-        query_text = (
-            str(default_query) if default_query is not None else None
-        )
-        self._backend = None
-        self._connections: list[Connection] = []
-        self._dispatcher: LocalDispatcher | None = None
-        if shard_backends is not None:
-            from repro.server.router import RemoteShardBackend
-
-            self._backend = RemoteShardBackend(
-                database,
-                shard_backends,
-                engine_name=self.store.engine.name,
-                default_query=default_query,
-                shard_relation=shard_relation,
-                shard_variable=shard_variable,
-            )
-            self.workers = self._backend.plan.shards
-        elif shards is not None:
-            from repro.server.router import ShardBackend
-
-            self._backend = ShardBackend(
-                database,
-                shards,
-                engine_name=self.store.engine.name,
-                capacity=capacity,
-                cache_slack=cache_slack,
-                default_query=default_query,
-                shard_relation=shard_relation,
-                shard_variable=shard_variable,
-                start_method=start_method,
-                queue_depth=self.queue_depth,
-                chaos=chaos,
-            )
-            self.workers = self._backend.plan.shards
-        elif procs is not None:
-            from repro.server.router import ProcessBackend
-
-            self._backend = ProcessBackend(
-                self.store,
-                procs,
-                engine_name=self.store.engine.name,
-                capacity=capacity,
-                cache_slack=cache_slack,
-                default_query_text=query_text,
-                start_method=start_method,
-                queue_depth=self.queue_depth,
-                read_only=self.read_only,
-                chaos=chaos,
-            )
-            self.workers = procs
-        else:
-            self.workers = workers
-            self._connections = [
-                Connection(self.store.session(cache_slack))
-                for _ in range(workers)
-            ]
-            self._dispatcher = LocalDispatcher(
-                self._connections, max_queue_depth=self.queue_depth
-            )
 
     @property
     def dispatch_capacity(self) -> int:
@@ -401,19 +301,10 @@ class ServingCore:
         async front sizes its executor to this bound)."""
         return self.workers * self.queue_depth
 
-    @property
-    def mode(self) -> str:
-        return (
-            self._backend.mode
-            if self._backend is not None
-            else "threads"
-        )
-
     # -- serving -----------------------------------------------------------
 
     def execute(self, request: SessionRequest) -> SessionResponse:
-        """Serve one protocol request (pooled connection, worker
-        process, or sharded fan-out — same wire shapes in all modes).
+        """Serve one protocol request on the shallowest worker.
 
         Raises :class:`~repro.errors.OverloadedError` when bounded
         admission refuses the request; the transport answers 503 with
@@ -425,19 +316,9 @@ class ServingCore:
             return SessionResponse(
                 op=request.op,
                 ok=False,
-                error=(
-                    "server is read-only: mutations are disabled"
-                    if self._backend is None
-                    or not self._backend.mode.startswith("sharded")
-                    else "sharded serving is read-only: a delta could "
-                    "move tuples across shard boundaries"
-                ),
+                error="server is read-only: mutations are disabled",
                 error_type=ReadOnlyError.__name__,
             )
-        if self._backend is not None:
-            return self._backend.execute(request)
-        # In-process workers share one store (and its caches), so
-        # election needs no affinity: the shallowest queue wins.
         index = self._dispatcher.admit()
         try:
             connection = self._dispatcher.acquire(index)
@@ -456,20 +337,14 @@ class ServingCore:
         finally:
             self._dispatcher.release(index)
 
-    def close(self, timeout: float = 10.0) -> bool:
-        """Close the backend (and sync/close the WAL); ``True`` when
-        the worker drain was clean (in-process serving always drains
-        clean)."""
-        clean = True
-        if self._backend is not None:
-            clean = self._backend.close(timeout=timeout)
+    def close(self) -> None:
+        """Sync and close the WAL, and disarm fault injection."""
         if self.wal is not None:
             self.wal.close()
         if self.chaos is not None:
             from repro.chaos import faults
 
             faults.disarm()
-        return clean
 
     # -- observability -----------------------------------------------------
 
@@ -484,7 +359,6 @@ class ServingCore:
             "engine": self.store.engine.name,
             "workers": self.workers,
             "front": front,
-            "mode": self.mode,
             "read_only": self.read_only,
             "db_version": self.store.db_version,
             "durable": self.wal is not None,
@@ -502,22 +376,12 @@ class ServingCore:
         dict so the response size is independent of ``--workers``; a
         per-worker breakdown (bounded) appears only with
         ``stats_per_worker=True``.  ``dispatch`` carries the bounded
-        admission view in threaded/async in-process mode (queue depths
-        and rejections); process modes report the same through
-        ``backend.pool``.
+        admission view (queue depths and rejections).
         """
-        if self._backend is not None:
-            backend_stats = self._backend.stats()
-            worker_stats = [
-                stats.get("session", {})
-                for stats in backend_stats.pop("per_worker")
-            ]
-        else:
-            backend_stats = None
-            worker_stats = [
-                connection.session.stats.as_dict()
-                for connection in self._connections
-            ]
+        worker_stats = [
+            connection.session.stats.as_dict()
+            for connection in self._connections
+        ]
         workers: dict = {
             "count": len(worker_stats),
             "totals": aggregate_counters(worker_stats),
@@ -528,7 +392,7 @@ class ServingCore:
             if truncated > 0:
                 workers["truncated"] = truncated
         store_stats = self.store.cache_stats()
-        out = {
+        return {
             "server": server_counters,
             "store": store_stats,
             "workers": workers,
@@ -545,12 +409,8 @@ class ServingCore:
                     self.wal.last_seq if self.wal is not None else None
                 ),
             },
+            "dispatch": self._dispatcher.counters(),
         }
-        if self._dispatcher is not None:
-            out["dispatch"] = self._dispatcher.counters()
-        if backend_stats is not None:
-            out["backend"] = backend_stats
-        return out
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -730,28 +590,11 @@ class ReproServer:
             :data:`MAX_STATS_WORKERS` entries) in ``GET /stats`` next
             to the aggregated totals.
         verbose: log one line per request to stderr.
-        procs: serve with ``procs`` worker *processes* instead of the
-            in-process connection pool — the database is published
-            once into shared memory and every worker attaches
-            zero-copy (:mod:`repro.server.router`); ``workers`` is
-            ignored.  Wire protocol unchanged.
-        shards: serve with one process per *range shard* of the
-            partitioned relation; implies ``read_only``, requires
-            ``default_query``, and every request's order must lead
-            with the shard variable.  Exclusive with ``procs``.
         read_only: refuse ``insert``/``delete`` with a structured
             HTTP 403 (:class:`~repro.errors.ReadOnlyError`).
-        shard_relation / shard_variable: pin the shard plan's
-            partitioned relation / leading variable (default: the
-            advisor's preferred order decides the variable, the
-            largest candidate relation is partitioned).
-        start_method: multiprocessing start method for worker
-            processes (tests override; keep ``spawn`` in production).
         queue_depth: bound on each worker's pending-request queue;
             full fleet → HTTP 503 + ``Retry-After``
             (:class:`~repro.errors.OverloadedError`).
-        shard_backends: base URLs of remote ``repro serve`` replicas,
-            one per range shard (read-only; needs ``default_query``).
         wal: write-ahead-log path — replayed at boot, appended before
             every apply (see :class:`ServingCore`).
         retain_versions: MVCC snapshot window of the shared store
@@ -777,14 +620,8 @@ class ReproServer:
         port: int = 0,
         stats_per_worker: bool = False,
         verbose: bool = False,
-        procs: int | None = None,
-        shards: int | None = None,
         read_only: bool = False,
-        shard_relation: str | None = None,
-        shard_variable: str | None = None,
-        start_method: str = "spawn",
         queue_depth: int | None = None,
-        shard_backends: list[str] | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
         chaos: str | None = None,
@@ -798,14 +635,8 @@ class ReproServer:
             cache_slack=cache_slack,
             default_query=default_query,
             stats_per_worker=stats_per_worker,
-            procs=procs,
-            shards=shards,
             read_only=read_only,
-            shard_relation=shard_relation,
-            shard_variable=shard_variable,
-            start_method=start_method,
             queue_depth=queue_depth,
-            shard_backends=shard_backends,
             wal=wal,
             retain_versions=retain_versions,
             chaos=chaos,
@@ -813,7 +644,6 @@ class ReproServer:
         self.verbose = verbose
         self.counters = _ServerCounters()
         self.request_timeout = request_timeout
-        self.clean_shutdown: bool | None = None
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.repro_server = self  # type: ignore[attr-defined]
@@ -840,10 +670,6 @@ class ReproServer:
     @property
     def stats_per_worker(self) -> bool:
         return self.core.stats_per_worker
-
-    @property
-    def _backend(self):
-        return self.core._backend
 
     # -- addresses ---------------------------------------------------------
 
@@ -892,27 +718,19 @@ class ReproServer:
             target=self._httpd.shutdown, daemon=True
         ).start()
 
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop accepting, drain workers, unlink shared memory.
-
-        Sets :attr:`clean_shutdown`: ``True`` when every worker
-        finished its in-flight request and exited on drain (always
-        ``True`` in threaded mode), ``False`` when one had to be
-        terminated — the CLI exits nonzero on an unclean drain.
-        Idempotent.
-        """
+    def shutdown(self) -> None:
+        """Stop accepting, join the serving thread, close the WAL.
+        Idempotent."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        clean = self.core.close(timeout=timeout)
-        if self.clean_shutdown is None:
-            self.clean_shutdown = clean
+        self.core.close()
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Alias for :meth:`shutdown` (symmetry with the pool/plane)."""
-        self.shutdown(timeout=timeout)
+    def close(self) -> None:
+        """Alias for :meth:`shutdown`."""
+        self.shutdown()
 
     def __enter__(self) -> "ReproServer":
         return self.start()
@@ -949,13 +767,8 @@ def serve(
     port: int = 8080,
     stats_per_worker: bool = False,
     verbose: bool = False,
-    procs: int | None = None,
-    shards: int | None = None,
     read_only: bool = False,
-    shard_relation: str | None = None,
-    shard_variable: str | None = None,
     queue_depth: int | None = None,
-    shard_backends: list[str] | None = None,
     wal: str | None = None,
     retain_versions: int | None = None,
     chaos: str | None = None,
@@ -977,13 +790,8 @@ def serve(
         port=port,
         stats_per_worker=stats_per_worker,
         verbose=verbose,
-        procs=procs,
-        shards=shards,
         read_only=read_only,
-        shard_relation=shard_relation,
-        shard_variable=shard_variable,
         queue_depth=queue_depth,
-        shard_backends=shard_backends,
         wal=wal,
         retain_versions=retain_versions,
         chaos=chaos,

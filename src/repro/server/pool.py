@@ -1,57 +1,19 @@
-"""The worker-pool supervisor: spawn, health-check, drain, respawn.
+"""Bounded, depth-aware dispatch over the in-process worker slots.
 
-:class:`WorkerPool` owns N worker *processes* (spawn start method —
-fork would duplicate the threaded HTTP server's locks mid-state) and
-replaces the in-process ``Connection`` pool behind
-:class:`~repro.server.http.ReproServer` when process parallelism is
-requested.  Responsibilities:
-
-* **spawn** — boot each worker from a picklable
-  :class:`~repro.server.worker.WorkerSpec` (built by a caller-supplied
-  factory, so respawns always attach the *latest* database
-  publication) and wait for its ``ready`` handshake;
-* **dispatch** — one interaction per worker at a time, over
-  *bounded per-worker pending queues* with depth-aware election
-  (:func:`elect_slot`): requests carrying the same ``(query, order)``
-  hash to the same worker, so its private artifact cache stays hot,
-  but a read against a read-only store spills to the shallowest queue
-  instead of stacking behind its affinity worker
-  (``affinity_hits`` / ``affinity_spills`` count how that played out);
-  when every queue is at ``max_queue_depth`` the request is rejected
-  with :class:`~repro.errors.OverloadedError` — the transport answers
-  HTTP 503 — rather than piling up unboundedly;
-* **plane traffic** — while a worker handles a request it may ask for
-  or publish shared-memory artifacts; the pool answers on the
-  supervisor side, where the refcounts live;
-* **crash detection + respawn** — a worker that dies mid-request
-  surfaces as :class:`~repro.errors.WorkerCrashError` on that one
-  request, is replaced by a fresh process re-attached to the plane,
-  and its plane references are released;
-* **drain** — :meth:`close` waits for in-flight requests, asks every
-  worker to exit, and reports whether the drain was clean (no worker
-  had to be killed).
-
-The pool is deliberately engine-agnostic and transport-agnostic: it
-moves JSON strings and pickled deltas, nothing else.
+Both HTTP fronts serve from per-worker :class:`~repro.facade.Connection`
+objects over one shared :class:`~repro.session.ArtifactStore`.
+:class:`LocalDispatcher` admits each request onto one slot's *bounded*
+pending queue (:func:`elect_slot`: the shallowest queue wins); when
+every queue is at ``max_queue_depth`` the request is rejected with
+:class:`~repro.errors.OverloadedError` — the transport answers HTTP
+503 — rather than piling up unboundedly.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
 
-from repro.chaos.faults import fire as _chaos_fire
-from repro.errors import OverloadedError, WorkerCrashError
-from repro.server.shm import SharedArtifactPlane
-
-#: How long a spawned worker gets to attach + build before the pool
-#: declares the boot failed.  Generous: a cold numpy import on a busy
-#: box can take seconds.
-BOOT_TIMEOUT = 60.0
-
-#: Default seconds between background health sweeps.
-HEALTH_INTERVAL = 2.0
+from repro.errors import OverloadedError
 
 #: Default bound on each worker's pending-request queue.  When every
 #: queue is at the bound, admission fails with
@@ -61,27 +23,12 @@ HEALTH_INTERVAL = 2.0
 DEFAULT_QUEUE_DEPTH = 16
 
 
-def elect_slot(
-    depths: list[int],
-    capacity: int,
-    affinity: int | None = None,
-    spill: bool = False,
-) -> tuple[int, str]:
-    """Depth-aware worker election over pending-queue ``depths``.
+def elect_slot(depths: list[int], capacity: int) -> int:
+    """The shallowest of the pending-queue ``depths``.
 
-    Returns ``(index, outcome)`` where ``outcome`` is ``"plain"`` (no
-    affinity given), ``"hit"`` (the affinity worker was elected), or
-    ``"spill"`` (a shallower sibling was).  Raises
-    :class:`~repro.errors.OverloadedError` when every queue is at
-    ``capacity`` — admission is bounded.
-
-    Policy: without affinity the shallowest queue wins.  With
-    affinity, the preferred worker (``affinity % len(depths)``) wins
-    while its queue has room — except under ``spill=True`` (the store
-    is read-only, so every worker's cache can serve every read), where
-    it must also be tied for shallowest.  A *full* preferred queue
-    always spills to the shallowest sibling rather than rejecting
-    while the fleet has room.
+    Raises :class:`~repro.errors.OverloadedError` when every queue is
+    at ``capacity`` — admission is bounded.  Workers share one store
+    (and its caches), so there is no cache locality to prefer.
     """
     shallowest = min(range(len(depths)), key=depths.__getitem__)
     if depths[shallowest] >= capacity:
@@ -89,564 +36,16 @@ def elect_slot(
             f"all {len(depths)} worker queues are full "
             f"({capacity} pending each); retry shortly"
         )
-    if affinity is None:
-        return shallowest, "plain"
-    preferred = affinity % len(depths)
-    if depths[preferred] < capacity and (
-        not spill or depths[preferred] <= depths[shallowest]
-    ):
-        return preferred, "hit"
-    return shallowest, "spill"
-
-
-class _PoolWorker:
-    """One supervised process and its control pipe (pool-internal)."""
-
-    __slots__ = (
-        "name", "spec", "process", "pipe", "busy", "crashed",
-        "generation",
-    )
-
-    def __init__(self, name, spec, process, pipe, generation):
-        self.name = name
-        self.spec = spec
-        self.process = process
-        self.pipe = pipe
-        self.busy = False
-        self.crashed = False
-        self.generation = generation
-
-
-class WorkerPool:
-    """Supervise ``count`` worker processes over one artifact plane.
-
-    Args:
-        count: number of worker processes.
-        spec_factory: ``(name, index) -> WorkerSpec`` — called at every
-            spawn *and respawn*, so it must describe the current state
-            (latest database publication / version).
-        plane: the supervisor-side artifact plane; the pool records
-            worker references at spawn and releases them on crash,
-            respawn, and drain.  ``None`` disables plane traffic.
-        start_method: multiprocessing start method (``spawn`` unless a
-            test overrides it).
-        health_interval: seconds between background liveness sweeps
-            (``0`` disables the thread; checkout still detects corpses
-            opportunistically).
-        max_queue_depth: bound on each worker's pending-request queue;
-            a fleet with every queue at the bound rejects admission
-            with :class:`~repro.errors.OverloadedError`.
-    """
-
-    def __init__(
-        self,
-        count: int,
-        spec_factory,
-        plane: SharedArtifactPlane | None = None,
-        start_method: str = "spawn",
-        health_interval: float = HEALTH_INTERVAL,
-        max_queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    ):
-        if count < 1:
-            raise ValueError(f"need at least one worker, got {count}")  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-        if max_queue_depth < 1:
-            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-                f"need a queue depth of at least one, got "
-                f"{max_queue_depth}"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
-        self._spec_factory = spec_factory
-        self.plane = plane
-        self._cond = threading.Condition()
-        self._workers: list[_PoolWorker] = []
-        self._generation = 0
-        self._closed = False
-        self._mutation_lock = threading.Lock()
-        self.respawns = 0
-        self.crashes = 0
-        self.rejections = 0
-        self.max_queue_depth = max_queue_depth
-        # Per-slot dispatch state; slots survive respawns, so depth
-        # accounting is indexed by position, not by worker object.
-        self._pending = [0] * count
-        self._affinity_hits = [0] * count
-        self._affinity_spills = [0] * count
-        try:
-            for index in range(count):
-                self._workers.append(self._spawn(index))
-        except BaseException:
-            self._kill_all()
-            raise
-        self._health_thread: threading.Thread | None = None
-        if health_interval > 0:
-            self._health_thread = threading.Thread(
-                target=self._health_loop,
-                args=(health_interval,),
-                daemon=True,
-            )
-            self._health_thread.start()
-
-    def __len__(self) -> int:
-        return len(self._workers)
-
-    # -- spawning ----------------------------------------------------------
-
-    def _spawn(self, index: int) -> _PoolWorker:
-        from repro.server.worker import worker_main
-
-        self._generation += 1
-        generation = self._generation
-        name = f"w{index}g{generation}"
-        spec = self._spec_factory(name, index)
-        parent, child = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(spec, child),
-            name=f"repro-{name}",
-            daemon=True,
-        )
-        process.start()
-        child.close()
-        worker = _PoolWorker(name, spec, process, parent, generation)
-        if self.plane is not None and spec.database is not None:
-            self.plane.acquire(spec.database.token, name)
-        deadline = time.monotonic() + BOOT_TIMEOUT
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0 or not parent.poll(min(timeout, 0.2)):
-                if time.monotonic() >= deadline:
-                    self._destroy(worker)
-                    raise WorkerCrashError(
-                        f"worker {name} did not become ready within "
-                        f"{BOOT_TIMEOUT:.0f}s"
-                    )
-                continue
-            try:
-                message = parent.recv()
-            except (EOFError, OSError):
-                self._destroy(worker)
-                raise WorkerCrashError(
-                    f"worker {name} died during boot"
-                ) from None
-            if message[0] == "ready":
-                if message[1] != spec.db_version:  # pragma: no cover
-                    self._destroy(worker)
-                    raise WorkerCrashError(
-                        f"worker {name} booted at db_version "
-                        f"{message[1]}, expected {spec.db_version}"
-                    )
-                return worker
-            if message[0] == "err":
-                self._destroy(worker)
-                raise WorkerCrashError(str(message[1]))
-
-    def _destroy(self, worker: _PoolWorker) -> None:
-        worker.crashed = True
-        if self.plane is not None:
-            self.plane.release_holder(worker.name)
-        try:
-            worker.pipe.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            # Workers ignore SIGTERM (process-group signals must not
-            # beat the drain), so forced destruction needs SIGKILL.
-            worker.process.kill()
-        worker.process.join(timeout=5)
-
-    def _respawn_locked(self, index: int) -> None:
-        # Condition held by the caller; the dead worker is not busy.
-        old = self._workers[index]
-        self._destroy(old)
-        self.respawns += 1
-        self._workers[index] = self._spawn(index)
-        self._cond.notify_all()
-
-    # -- checkout / dispatch -----------------------------------------------
-
-    @property
-    def affinity_hits(self) -> int:
-        return sum(self._affinity_hits)
-
-    @property
-    def affinity_spills(self) -> int:
-        return sum(self._affinity_spills)
-
-    def admit(
-        self, affinity: int | None = None, spill: bool = False
-    ) -> int:
-        """Elect a worker slot and reserve one unit of queue depth.
-
-        Non-blocking: either returns the elected slot index
-        immediately or raises :class:`~repro.errors.OverloadedError`
-        when every queue is at :attr:`max_queue_depth` (counted in
-        ``rejections``).  The caller *must* pair a successful ``admit``
-        with :meth:`release`.
-        """
-        with self._cond:
-            if self._closed:
-                raise WorkerCrashError("worker pool is closed")
-            try:
-                index, outcome = elect_slot(
-                    self._pending,
-                    self.max_queue_depth,
-                    affinity=affinity,
-                    spill=spill,
-                )
-            except OverloadedError:
-                self.rejections += 1
-                raise
-            if outcome == "hit":
-                self._affinity_hits[index] += 1
-            elif outcome == "spill":
-                self._affinity_spills[index] += 1
-            self._pending[index] += 1
-            return index
-
-    def release(self, index: int) -> None:
-        """Return the queue-depth unit reserved by :meth:`admit`."""
-        with self._cond:
-            self._pending[index] -= 1
-            self._cond.notify_all()
-
-    def _checkin(self, worker: _PoolWorker) -> None:
-        with self._cond:
-            worker.busy = False
-            if worker.crashed:
-                index = self._workers.index(worker)
-                self._respawn_locked(index)  # repro: noqa[LOCK-BLOCKING] -- dead worker's pipe is drained, never awaited; respawn must finish under _cond
-            self._cond.notify_all()
-
-    def _serve_plane(self, worker: _PoolWorker, message) -> None:
-        tag = message[0]
-        if tag == "plane_lookup":
-            publication = (
-                self.plane.acquire(message[1], worker.name)
-                if self.plane is not None
-                else None
-            )
-            worker.pipe.send(("plane", publication))
-        elif tag == "plane_publish":
-            adopted = (
-                self.plane.adopt(message[1], worker.name)
-                if self.plane is not None
-                else False
-            )
-            worker.pipe.send(("plane", adopted))
-        else:  # pragma: no cover - protocol bug
-            raise WorkerCrashError(
-                f"unexpected message from worker {worker.name}: "
-                f"{tag!r}"
-            )
-
-    def _interact(self, worker: _PoolWorker, message):
-        """One send → final ``ok``/``err``, serving plane traffic
-        in between.  Raises :class:`WorkerCrashError` (and marks the
-        worker) when the process dies mid-conversation.
-
-        Fault points: ``pool.crash_before_publish`` kills the worker
-        after the request is on the pipe but before any reply arrives
-        (the request was never acknowledged), ``pool.crash_after_publish``
-        kills it right after the ``ok`` reply (acknowledged, then
-        dead) — both land on the normal crash-mark + respawn path.
-        """
-        try:
-            if _chaos_fire("pool.crash_before_publish"):
-                worker.process.kill()
-                worker.process.join()
-            worker.pipe.send(message)
-            while True:
-                reply = worker.pipe.recv()
-                tag = reply[0]
-                if tag == "ok":
-                    if _chaos_fire("pool.crash_after_publish"):
-                        worker.process.kill()
-                        worker.process.join()
-                        worker.crashed = True
-                        self.crashes += 1
-                    return reply[1]
-                if tag == "err":
-                    raise WorkerCrashError(
-                        f"worker {worker.name} failed: {reply[1]}"
-                    )
-                self._serve_plane(worker, reply)
-        except (EOFError, BrokenPipeError, OSError):
-            worker.crashed = True
-            self.crashes += 1
-            raise WorkerCrashError(
-                f"worker {worker.name} died mid-request (respawning)"
-            ) from None
-
-    def execute_json(
-        self,
-        request_json: str,
-        affinity: int | None = None,
-        spill: bool = False,
-    ) -> str:
-        """Serve one protocol request; returns the response JSON.
-
-        Dispatch is depth-aware (:func:`elect_slot`): admission
-        reserves a slot on the elected worker's bounded queue — or
-        raises :class:`~repro.errors.OverloadedError` when the fleet is
-        full — and only then waits for that worker to come free.
-        ``spill=True`` (read-only store) lets affinity requests drift
-        to shallower siblings instead of stacking up behind one hot
-        worker.
-        """
-        index = self.admit(affinity=affinity, spill=spill)
-        try:
-            worker = self._checkout_index(index)
-            try:
-                return self._interact(
-                    worker, ("request", request_json)
-                )
-            finally:
-                self._checkin(worker)
-        finally:
-            self.release(index)
-
-    def execute_on(self, index: int, request_json: str) -> str:
-        """Serve on worker ``index`` specifically (sharded serving —
-        each worker holds a different shard database).  Tracked in the
-        queue depths for observability, but never rejected: a sharded
-        fan-out must reach every shard."""
-        with self._cond:
-            self._pending[index] += 1
-        try:
-            worker = self._checkout_index(index)
-            try:
-                return self._interact(
-                    worker, ("request", request_json)
-                )
-            finally:
-                self._checkin(worker)
-        finally:
-            self.release(index)
-
-    def _checkout_index(self, index: int) -> _PoolWorker:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise WorkerCrashError("worker pool is closed")
-                worker = self._workers[index]
-                if not worker.busy:
-                    if worker.crashed or not worker.process.is_alive():
-                        if not worker.crashed:
-                            self.crashes += 1
-                        self._respawn_locked(index)  # repro: noqa[LOCK-BLOCKING] -- dead worker's pipe is drained, never awaited; respawn must finish under _cond
-                        worker = self._workers[index]
-                    worker.busy = True
-                    return worker
-                self._cond.wait(timeout=1.0)
-
-    # -- broadcasts --------------------------------------------------------
-
-    def _checkout_all(
-        self, timeout: float | None = None
-    ) -> list[_PoolWorker]:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        claimed: list[_PoolWorker] = []
-        with self._cond:
-            while True:
-                for worker in self._workers:
-                    if worker in claimed:
-                        continue
-                    if not worker.busy:
-                        worker.busy = True
-                        claimed.append(worker)
-                if len(claimed) == len(self._workers):
-                    return claimed
-                remaining = (
-                    None
-                    if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return claimed  # caller decides what to do
-                self._cond.wait(
-                    timeout=1.0
-                    if remaining is None
-                    else min(remaining, 1.0)
-                )
-
-    def _checkin_all(self, workers) -> None:
-        with self._cond:
-            for worker in workers:
-                worker.busy = False
-            for worker in list(workers):
-                if worker.crashed and worker in self._workers:
-                    self._respawn_locked(self._workers.index(worker))  # repro: noqa[LOCK-BLOCKING] -- dead worker's pipe is drained, never awaited; respawn must finish under _cond
-            self._cond.notify_all()
-
-    def broadcast_delta(self, delta) -> list[int]:
-        """Apply one delta on *every* worker (all slots held, so no
-        request observes a half-mutated fleet).  Returns the workers'
-        new db_versions; crashed workers respawn at the latest
-        publication, which the caller republished first."""
-        with self._mutation_lock:
-            workers = self._checkout_all()
-            versions: list[int] = []
-            try:
-                for worker in workers:
-                    try:
-                        versions.append(
-                            self._interact(worker, ("delta", delta))  # repro: noqa[LOCK-BLOCKING] -- mutation fan-out IS the serialization point; _mutation_lock exists for this
-                        )
-                    except WorkerCrashError:
-                        # The respawn (at checkin) boots from the
-                        # already-republished latest database, so the
-                        # fleet converges on the new version anyway.
-                        continue
-                return versions
-            finally:
-                self._checkin_all(workers)  # repro: noqa[LOCK-BLOCKING] -- mutation fan-out IS the serialization point; _mutation_lock exists for this
-
-    def stats(self) -> list[dict]:
-        """Per-worker counter dicts (briefly claims each worker)."""
-        out: list[dict] = []
-        for index in range(len(self._workers)):
-            try:
-                worker = self._checkout_index(index)
-            except WorkerCrashError:
-                continue
-            try:
-                out.append(self._interact(worker, ("stats",)))
-            except WorkerCrashError:
-                continue
-            finally:
-                self._checkin(worker)
-        return out
-
-    def ping(self) -> int:
-        """Health-check every idle worker; returns how many answered."""
-        alive = 0
-        for index in range(len(self._workers)):
-            try:
-                worker = self._checkout_index(index)
-            except WorkerCrashError:
-                continue
-            try:
-                if self._interact(worker, ("ping",)) == "pong":
-                    alive += 1
-            except WorkerCrashError:
-                continue
-            finally:
-                self._checkin(worker)
-        return alive
-
-    # -- health ------------------------------------------------------------
-
-    def _health_loop(self, interval: float) -> None:
-        while True:
-            time.sleep(interval)
-            with self._cond:
-                if self._closed:
-                    return
-                for index, worker in enumerate(self._workers):
-                    if (
-                        not worker.busy
-                        and not worker.crashed
-                        and not worker.process.is_alive()
-                    ):
-                        self.crashes += 1
-                        try:
-                            self._respawn_locked(index)  # repro: noqa[LOCK-BLOCKING] -- dead worker's pipe is drained, never awaited; respawn must finish under _cond
-                        except WorkerCrashError:  # pragma: no cover
-                            return
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _kill_all(self) -> None:
-        for worker in self._workers:
-            self._destroy(worker)
-
-    def close(self, timeout: float = 10.0) -> bool:
-        """Drain in-flight requests and stop every worker.
-
-        Returns ``True`` for a clean drain (every worker finished its
-        request and exited on ``drain``); ``False`` when any had to be
-        terminated.  Idempotent.
-        """
-        with self._cond:
-            if self._closed:
-                return True
-            claimed = []  # claim what we can before flagging closed
-        claimed = self._checkout_all(timeout=timeout)
-        clean = len(claimed) == len(self._workers)
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        for worker in self._workers:
-            if worker in claimed and not worker.crashed:
-                try:
-                    self._interact(worker, ("drain",))
-                except WorkerCrashError:
-                    clean = False
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():
-                worker.process.kill()  # SIGTERM is ignored by workers
-                worker.process.join(timeout=5)
-                clean = False
-            if self.plane is not None:
-                self.plane.release_holder(worker.name)
-            try:
-                worker.pipe.close()
-            except OSError:  # pragma: no cover
-                pass
-        return clean
-
-    def counters(self) -> dict:
-        with self._cond:
-            return {
-                "workers": len(self._workers),
-                "crashes": self.crashes,
-                "respawns": self.respawns,
-                "affinity_hits": sum(self._affinity_hits),
-                "affinity_spills": sum(self._affinity_spills),
-                "rejections": self.rejections,
-                "queue_capacity": self.max_queue_depth,
-                "queue_depths": list(self._pending),
-                "per_worker": [
-                    {
-                        "queue_depth": depth,
-                        "affinity_hits": hits,
-                        "affinity_spills": spills,
-                    }
-                    for depth, hits, spills in zip(
-                        self._pending,
-                        self._affinity_hits,
-                        self._affinity_spills,
-                    )
-                ],
-            }
-
-    def worker_pids(self) -> list[int]:
-        """OS pids of the live worker processes (RSS accounting)."""
-        with self._cond:
-            return [
-                worker.process.pid
-                for worker in self._workers
-                if worker.process is not None
-                and worker.process.pid is not None
-            ]
+    return shallowest
 
 
 class LocalDispatcher:
     """Depth-aware dispatch over in-process worker slots.
 
-    The in-process twin of the pool's admission logic, used by the
-    threaded and async HTTP fronts when serving from per-worker
-    :class:`~repro.facade.Connection` objects: each slot carries a
-    bounded pending queue, :meth:`admit` is non-blocking (a full fleet
-    raises :class:`~repro.errors.OverloadedError`), and only
-    :meth:`acquire` waits — for the elected slot specifically.
-
-    In-process workers share one
-    :class:`~repro.session.ArtifactStore`, so there is no per-worker
-    cache locality to protect; callers normally omit ``affinity`` and
-    election just picks the shallowest queue.
+    Each slot carries a bounded pending queue, :meth:`admit` is
+    non-blocking (a full fleet raises
+    :class:`~repro.errors.OverloadedError`), and only :meth:`acquire`
+    waits — for the elected slot specifically.
     """
 
     def __init__(
@@ -669,20 +68,13 @@ class LocalDispatcher:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def admit(
-        self, affinity: int | None = None, spill: bool = False
-    ) -> int:
+    def admit(self) -> int:
         """Reserve a queue-depth unit on the elected slot (or raise
         :class:`~repro.errors.OverloadedError`); pair with
         :meth:`release`."""
         with self._cond:
             try:
-                index, _outcome = elect_slot(
-                    self._pending,
-                    self.max_queue_depth,
-                    affinity=affinity,
-                    spill=spill,
-                )
+                index = elect_slot(self._pending, self.max_queue_depth)
             except OverloadedError:
                 self.rejections += 1
                 raise
@@ -715,10 +107,7 @@ class LocalDispatcher:
 
 
 __all__ = [
-    "BOOT_TIMEOUT",
     "DEFAULT_QUEUE_DEPTH",
-    "HEALTH_INTERVAL",
     "LocalDispatcher",
-    "WorkerPool",
     "elect_slot",
 ]

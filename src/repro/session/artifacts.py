@@ -234,9 +234,8 @@ class ArtifactStore:
         if not isinstance(database, Database):
             database = Database(database)
         self._database = database
-        # Worker processes attach mid-history: their fresh store must
-        # start at the supervisor's current version or clients' pinned
-        # views would cross wires (default 0 = a brand-new database).
+        # A store recovered from a WAL starts mid-history, at the
+        # replayed version (default 0 = a brand-new database).
         self._db_version = db_version
         self.wal = wal
         self.snapshots = SnapshotPlane(
@@ -248,12 +247,6 @@ class ArtifactStore:
         # thread already holds the registry lock.  They enqueue here
         # (deque.append is atomic) and drain at the next safe entry.
         self._pending_releases: deque[int] = deque()
-        #: Optional cross-process artifact plane (worker processes set
-        #: this to a :class:`repro.server.worker.PlaneClient`): builds
-        #: consult it before running and offer their results after, so
-        #: an artifact is built once per *server*, not once per worker.
-        #: Must never raise — plane failures degrade to local builds.
-        self.plane = None
         self.engine = resolve_engine(engine)
         self.stats = StoreStats()
         # Short-held: protects the cache maps, the build-lock registry,
@@ -538,26 +531,16 @@ class ArtifactStore:
                             self.stats.build_concurrency_peak,
                             self._building,
                         )
-                plane = self.plane
-                fetched = False
                 self._build_depth.value = depth + 1
                 try:
-                    value = None
-                    if plane is not None:
-                        value = plane.fetch(kind, key, version)
-                        fetched = value is not None
-                    if value is None:
-                        value = builder()
+                    value = builder()
                 finally:
                     self._build_depth.value = depth
                     if depth == 0:
                         with self._registry_lock:
                             self._building -= 1
-                if plane is not None and not fetched:
-                    plane.offer(kind, key, version, value)
                 with self._registry_lock:
-                    if not fetched:
-                        self.stats.artifact_builds += 1
+                    self.stats.artifact_builds += 1
                     self._caches[kind].put(
                         vkey, value, cost=cost, extra=extra
                     )

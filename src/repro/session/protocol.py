@@ -60,8 +60,7 @@ OPS = frozenset(
 #: ``db_version`` pin (served from that MVCC snapshot while retained).
 VIEW_OPS = frozenset({"access", "count", "median", "page", "rank"})
 
-#: Ops that mutate the served database (refused on read-only servers;
-#: routed to the supervisor under process sharding).
+#: Ops that mutate the served database (refused on read-only servers).
 MUTATION_OPS = frozenset({"apply", "delete", "insert"})
 
 #: One-line summary per op — the machine-checkable core of
@@ -365,9 +364,7 @@ class SessionResponse:
 def delta_from_request(request: SessionRequest):
     """The :class:`~repro.data.delta.Delta` a mutation request names.
 
-    Shared by :func:`execute` and the process-sharding router so both
-    transports validate (and apply) exactly the same delta.  Raises
-    :class:`~repro.errors.ProtocolError` on malformed requests.
+    Raises :class:`~repro.errors.ProtocolError` on malformed requests.
     """
     from repro.data.delta import Delta
 

@@ -2,14 +2,13 @@
 
 Three layers, bottom-up: the fault-point registry and its seeded
 schedules (pure unit tests), the crash matrix (a live serving core is
-killed at every injection site, in every serving mode, and must
+killed at every WAL injection site, on every engine, and must
 converge after restart), and the harness's own honesty checks — the
 double-run determinism law and the mutation-of-the-checker test that
 proves the model checker still catches a real lost write.
 
-The crash-matrix cases boot real servers (worker processes under
-``--procs``), so this file is the slowest suite after ``test_pool``;
-each case keeps ``ops`` small and uses the quick seed database.
+The crash-matrix cases boot and restart real serving cores, so each
+case keeps ``ops`` small and uses the quick seed database.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.data.delta import Delta
 ENGINES = repro.available_engines()
 
 WAL_SITES = ("wal.fsync", "wal.torn_write", "wal.corrupt_crc")
-POOL_SITES = ("pool.crash_before_publish", "pool.crash_after_publish")
 
 
 @pytest.fixture(autouse=True)
@@ -44,12 +42,13 @@ def _disarmed():
 class TestFaultPlan:
     def test_spec_grammar_round_trips(self):
         plan = ChaosPlan(
-            "seed=7, wal.fsync:nth=3; client.timeout:p=0.25,shm.attach"
+            "seed=7, wal.fsync:nth=3; client.timeout:p=0.25,"
+            "client.disconnect"
         )
         assert plan.seed == 7
         assert plan.sites() == (
+            "client.disconnect",
             "client.timeout",
-            "shm.attach",
             "wal.fsync",
         )
 
@@ -64,8 +63,8 @@ class TestFaultPlan:
             ChaosPlan(bad)
 
     def test_once_fires_exactly_once(self):
-        plan = ChaosPlan("shm.attach:once")
-        assert [plan.fire("shm.attach") for _ in range(5)] == [
+        plan = ChaosPlan("client.disconnect:once")
+        assert [plan.fire("client.disconnect") for _ in range(5)] == [
             True, False, False, False, False,
         ]
 
@@ -101,7 +100,7 @@ class TestFaultPlan:
     def test_registry_names_all_carry_a_subsystem_prefix(self):
         for name in FAULT_POINTS:
             prefix, _, rest = name.partition(".")
-            assert prefix in {"wal", "pool", "shm", "client"} and rest
+            assert prefix in {"wal", "client"} and rest
 
 
 class TestArming:
@@ -129,9 +128,8 @@ class TestArming:
         assert excinfo.value.site == "wal.fsync"
 
     def test_env_spec_arms_fresh_processes(self):
-        """The spawn-inheritance seam: a fresh interpreter with
-        ``REPRO_CHAOS`` set arms itself at import, exactly like a
-        spawned worker process does."""
+        """The inheritance seam: a fresh interpreter with
+        ``REPRO_CHAOS`` set arms itself at import."""
         env = dict(os.environ)
         env["REPRO_CHAOS"] = "seed=3,wal.fsync:nth=2"
         src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -153,85 +151,34 @@ class TestArming:
         assert out.stdout.split() == ["3", "wal.fsync"]
 
 
-def matrix_cases():
-    """Kill-at-every-fault-point across serving modes and engines.
-
-    Threads mode only reaches the WAL sites (there is no pool); the
-    process modes add the worker-kill sites.  ``once`` schedules fire
-    on the first pass *per boot*, so a WAL case exercises several
-    crash/restart cycles in one run.
-    """
-    cases = []
-    for site in WAL_SITES:
-        for engine in ENGINES:
-            cases.append((site, engine, None))
-    for site in WAL_SITES + POOL_SITES:
-        cases.append((site, "python", 1))
-        for engine in ENGINES:
-            cases.append((site, engine, 2))
-    return cases
+CRASH_CASES = [(site, engine) for site in WAL_SITES for engine in ENGINES]
 
 
 class TestCrashMatrix:
     @pytest.mark.parametrize(
-        "site,engine,procs",
-        matrix_cases(),
-        ids=lambda v: str(v) if v is not None else "threads",
+        "site,engine",
+        CRASH_CASES,
+        ids=[f"{site}-{engine}-threads" for site, engine in CRASH_CASES],
     )
-    def test_killed_at_site_and_converges(self, site, engine, procs):
+    def test_killed_at_site_and_converges(self, site, engine):
+        """``once`` schedules fire on the first pass *per boot*, so
+        one run exercises several crash/restart cycles."""
         report = run_chaos(
             seed=5,
             ops=18,
             faults_spec=f"{site}:once",
             engine=engine,
-            procs=procs,
             quick=True,
             workers=2,
         )
         assert report.verdict == "pass", report.violations
         fired = report.fault_counters.get(site, {}).get("fired", 0)
-        if site in WAL_SITES:
-            # Every WAL fault is a process death: the run must have
-            # actually crashed and recovered, at least once.
-            assert report.crashes >= 1
-            assert report.restarts == report.crashes + 1
-            assert fired == report.crashes
-        else:
-            # Pool faults kill a worker, not the server: the
-            # supervisor absorbs them (the one in-flight request may
-            # answer WorkerCrashError, which the checker tolerates).
-            assert fired >= 1
-            assert report.crashes == 0
+        # Every WAL fault is a process death: the run must have
+        # actually crashed and recovered, at least once.
+        assert report.crashes >= 1
+        assert report.restarts == report.crashes + 1
+        assert fired == report.crashes
         assert report.executed + report.crashes == report.ops
-
-
-class TestShmAttachFailure:
-    def test_worker_attach_failure_fails_the_boot_cleanly(self, tmp_path):
-        """``shm.attach`` fires inside every spawned worker (the spec
-        inherits through :class:`WorkerSpec`), so the pool can never
-        become ready: the boot must fail with ``WorkerCrashError`` —
-        and close the shared-memory plane on the way out."""
-        from repro.errors import WorkerCrashError
-        from repro.server.http import ServingCore
-
-        shm_dir = "/dev/shm"
-        before = (
-            {n for n in os.listdir(shm_dir) if n.startswith("repro_")}
-            if os.path.isdir(shm_dir)
-            else None
-        )
-        with pytest.raises(WorkerCrashError):
-            ServingCore(
-                Database({"R": {(1, 2)}, "S": {(2, 3)}}),
-                procs=1,
-                chaos="shm.attach:once",
-            )
-        faults.disarm()  # construction died before close() could
-        if before is not None:
-            after = {
-                n for n in os.listdir(shm_dir) if n.startswith("repro_")
-            }
-            assert after == before  # no leaked segments
 
 
 class TestDeterminism:

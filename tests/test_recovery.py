@@ -121,37 +121,3 @@ class TestServerRestart:
             assert durability["wal_seq"] == seq
             assert durability["snapshots_retained"] >= 1
             conn.close()
-
-    def test_serve_with_wal_recovers_with_process_workers(
-        self, tmp_path
-    ):
-        from repro.server import ReproServer
-
-        path = tmp_path / "serve.wal"
-        with ReproServer(fresh_database(), wal=str(path)) as server:
-            conn = connect(server.url)
-            conn.apply(D1)
-            before = list(conn.prepare(PATH, order=["x", "y", "z"]))
-            conn.close()
-        with ReproServer(
-            fresh_database(), wal=str(path), procs=2
-        ) as server:
-            conn = connect(server.url)
-            assert conn.db_version == 1
-            assert list(conn.prepare(PATH, order=["x", "y", "z"])) == before
-            # ... and the recovered supervisor keeps logging new deltas.
-            assert conn.apply(D2) == 2
-            conn.close()
-        recovered, version = WriteAheadLog(path).recover()
-        assert version == 2
-        assert recovered == fresh_database().apply(D1).apply(D2)
-
-    def test_wal_is_exclusive_with_sharding(self, tmp_path):
-        from repro.server.http import ServingCore
-
-        with pytest.raises(ValueError, match="read-only"):
-            ServingCore(
-                fresh_database(),
-                wal=str(tmp_path / "serve.wal"),
-                shards=2,
-            )
