@@ -1,4 +1,4 @@
-"""Shard-by-code-range serving: partition one relation, merge by rank.
+"""Shard-by-code-range execution: partition one relation, merge by rank.
 
 Lexicographic direct access composes over a *range partition* of the
 leading variable: if every served order starts with variable ``x`` and
@@ -16,23 +16,19 @@ global order.  The merge layer is therefore pure rank arithmetic:
 * ``median`` / ``page`` — the same index arithmetic the task kernels
   use (:mod:`repro.core.tasks`), re-done over global counts.
 
-The merged results are **bit-identical** to unsharded serving (the
+The merged results are **bit-identical** to unsharded execution (the
 differential law in ``tests/test_sharding.py``), because chunks are
 contiguous in the same plain ``<`` order the shared
 :class:`~repro.data.columnar.Dictionary` sorts by, and each shard
 serves its local answers in that order.
 
-:class:`ShardedExecutor` is transport-agnostic — it fans out
+This is a library, not a serving mode: ``repro serve`` runs one
+process over the whole database.  :class:`ShardedExecutor` is
+transport-agnostic — it fans out
 :class:`~repro.session.protocol.SessionRequest` objects through a
-``(shard_index, request) -> response dict`` callable, so the same
-merge code runs over in-process connections
-(:class:`LocalShardExecutor`, the differential-suite reference), over
-the worker pool's shard-pinned processes
-(:class:`~repro.server.router.ShardBackend`), and over remote
-``repro serve`` replicas on other hosts
-(:class:`~repro.server.client.HTTPShardExecutor`).  The
-:class:`ShardExecutor` base class names that seam: subclass it (or
-pass any bare callable) to put shards wherever you like.
+``(shard_index, request) -> response dict`` callable.  The
+:class:`ShardExecutor` base class names that seam;
+:class:`LocalShardExecutor` implements it over in-process connections.
 """
 
 from __future__ import annotations
@@ -65,9 +61,7 @@ class ShardPlan:
 
     ``cuts`` holds the smallest value owned by each of shards
     ``1..shards-1`` (shard 0 owns everything below ``cuts[0]``), so
-    routing a value is one :func:`bisect.bisect_right`.  The plan is
-    picklable and travels to workers inside their
-    :class:`~repro.server.worker.WorkerSpec`-adjacent config.
+    routing a value is one :func:`bisect.bisect_right`.
     """
 
     relation: str
@@ -152,7 +146,7 @@ def plan_shards(
         if position < len(values):
             cuts.append(values[position])
         # fewer distinct values than shards: trailing shards stay
-        # empty (no cut), which the router handles as count 0.
+        # empty (no cut), which the merge handles as count 0.
     return ShardPlan(
         relation=name,
         column=column,
@@ -167,8 +161,8 @@ def shard_databases(database, plan: ShardPlan) -> list[dict]:
 
     Shard ``k`` gets the partitioned relation filtered to its chunk
     and every other relation whole.  Returned as plain mappings so
-    each worker (or in-process connection) builds its own encoded
-    database over its subset.
+    each shard's connection builds its own encoded database over its
+    subset.
     """
     out: list[dict] = []
     partitioned = [set() for _ in range(plan.shards)]
@@ -510,9 +504,8 @@ class ShardExecutor:
     returns the shard's :class:`~repro.session.SessionResponse` *as a
     dict* — exactly what single-node
     :func:`~repro.session.protocol.execute` would produce for that
-    shard's database.  Where the shard lives (an in-process
-    connection, a worker process, a server on another host) is the
-    subclass's business; the merge math in :class:`ShardedExecutor`
+    shard's database.  Where the shard lives is the subclass's
+    business; the merge math in :class:`ShardedExecutor`
     never changes.  Instances are callable, so plain
     ``execute_fn(index, request)`` functions and executor objects are
     interchangeable.
@@ -531,9 +524,8 @@ class ShardExecutor:
 class LocalShardExecutor(ShardExecutor):
     """In-process shards: one :func:`repro.connect` per shard mapping.
 
-    The reference executor the differential suite compares every other
-    transport against — whatever answers these connections give *is*
-    the specification of sharded serving.
+    Whatever answers these connections give *is* the specification of
+    sharded execution.
     """
 
     def __init__(self, databases: list[dict], engine: str):
@@ -556,9 +548,7 @@ def local_shard_executor(
     databases: list[dict], engine: str
 ) -> LocalShardExecutor:
     """An in-process ``execute_fn`` over per-shard connections — the
-    reference the differential suite compares the router against.
-    (Kept as a function for existing callers; the returned executor is
-    callable like the closure it used to be.)"""
+    reference the differential suite compares the merge against."""
     return LocalShardExecutor(databases, engine)
 
 

@@ -22,14 +22,12 @@ import pytest
 
 import repro
 from repro import connect
-from repro.chaos import faults
 from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.errors import (
     NotAnAnswerError,
     OutOfBoundsError,
     OverloadedError,
     ProtocolError,
-    ReadOnlyError,
     ReproError,
 )
 from repro.query.parser import parse_query
@@ -38,7 +36,6 @@ from repro.server import HTTPConnection, ReproServer
 from repro.server.aio import AsyncReproServer
 from repro.server.client import normalize_base_url
 from repro.server.http import MAX_BODY_BYTES, _Handler, error_body
-from repro.server.pool import LocalDispatcher, elect_slot
 from repro.session.protocol import PROTOCOL_VERSION
 from tests.conftest import read_reply
 
@@ -352,25 +349,6 @@ class TestTransport:
                 RELATIONS, default_query="Q(a, b) :- Missing(a, b)"
             )
 
-    def test_read_only_refuses_mutations_with_403(self):
-        with ReproServer(
-            RELATIONS, workers=2, default_query=QUERY, read_only=True
-        ) as server:
-            assert server.health()["read_only"] is True
-            connection = repro.connect(server.url)
-            view = connection.prepare(QUERY, order=["x", "y", "z"])
-            assert len(view) == 5  # reads still work
-            with pytest.raises(ReadOnlyError):
-                connection.apply(repro.Delta(inserts={"R": {(1000, 1)}}))
-            connection.close()
-
-            # The wire shape: a structured 403, not a 200 error body.
-            status, body = post_op(
-                server, {"op": "insert", "relation": "R", "rows": [[1000, 1]]}
-            )
-            assert status == 403
-            assert body["error_type"] == "ReadOnlyError"
-
     def test_import_does_not_load_multiprocessing(self):
         """One process serves: nothing under ``repro.server`` may pull
         in :mod:`multiprocessing` (checked in a fresh interpreter)."""
@@ -390,34 +368,6 @@ class TestTransport:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
-
-
-class TestDispatch:
-    """Bounded admission over the in-process worker slots."""
-
-    def test_picks_shallowest(self):
-        assert elect_slot([3, 1, 2], capacity=4) == 1
-
-    def test_full_fleet_rejects(self):
-        with pytest.raises(OverloadedError):
-            elect_slot([2, 2], capacity=2)
-
-    def test_local_dispatcher_bounds_and_counts(self):
-        slots = ["a", "b"]
-        dispatcher = LocalDispatcher(slots, max_queue_depth=1)
-        first = dispatcher.admit()
-        second = dispatcher.admit()
-        assert {first, second} == {0, 1}
-        with pytest.raises(OverloadedError):
-            dispatcher.admit()
-        counters = dispatcher.counters()
-        assert counters["rejections"] == 1
-        assert counters["queue_depths"] == [1, 1]
-        assert dispatcher.acquire(first) == slots[first]
-        dispatcher.release(first)
-        dispatcher.release(second)
-        assert dispatcher.counters()["queue_depths"] == [0, 0]
-        assert dispatcher.admit() in (0, 1)
 
 
 class TestServingOps:
@@ -602,61 +552,6 @@ class TestHTTPConnectionFacade:
             socket.IPPROTO_TCP, socket.TCP_NODELAY
         ) == 1
         conn.close()
-
-
-class TestClientFaultPoints:
-    """The ``client.*`` fault points of :class:`HTTPConnection`: every
-    injected transport failure surfaces as a typed repro error, never a
-    hang, and never a poisoned keep-alive pool."""
-
-    @pytest.fixture()
-    def remote(self, server):
-        """A connected client and a prepared view: the health ping and
-        the prepare ride the pool *before* any plan is armed."""
-        conn = connect(server.url)
-        view = conn.prepare(QUERY, order=["x", "y", "z"])
-        yield conn, view
-        conn.close()
-
-    @staticmethod
-    def assert_unreachable(view, spec: str) -> None:
-        with faults.armed(spec):
-            with pytest.raises(ReproError, match="cannot reach") as caught:
-                view[0]
-        assert type(caught.value) is ReproError
-
-    def test_injected_timeout_is_a_structured_error(self, remote):
-        _conn, view = remote
-        self.assert_unreachable(view, "client.timeout:once")
-
-    def test_injected_disconnect_is_a_structured_error(self, remote):
-        _conn, view = remote
-        self.assert_unreachable(view, "client.disconnect:once")
-
-    def test_unparseable_5xx_is_a_protocol_error(self, remote):
-        _conn, view = remote
-        with faults.armed("client.http_500:once"):
-            with pytest.raises(ProtocolError):
-                view[0]
-
-    def test_every_request_failing_still_terminates(self, remote):
-        _conn, view = remote
-        with faults.armed("seed=1,client.timeout:p=1"):
-            for _ in range(3):
-                with pytest.raises(ReproError, match="cannot reach"):
-                    view[0]
-
-    def test_pool_is_reusable_once_faults_clear(self, remote, local):
-        """Faults fire before a socket is checked out, so the next read
-        after disarm rides the parked socket and answers correctly."""
-        conn, view = remote
-        opened = conn._pool.opened
-        with faults.armed("client.timeout:once"):
-            with pytest.raises(ReproError):
-                view[0]
-        expected = local.prepare(QUERY, order=["x", "y", "z"])
-        assert tuple(view[0]) == tuple(expected[0])
-        assert conn._pool.opened == opened
 
 
 class TestConcurrentServing:
@@ -1000,33 +895,30 @@ class TestWireShape:
         ]
         assert second[2] == json.dumps(server.health()).encode()
 
-    @pytest.mark.parametrize(
-        "front", [ReproServer, AsyncReproServer], ids=["threads", "aio"]
-    )
-    def test_404_post_reads_its_body_before_the_next_request(
-        self, front
-    ):
+    def test_404_post_reads_its_body_before_the_next_request(self):
         """The body of a POST to an unknown path is consumed, so on a
-        keep-alive socket it is never parsed as the next request."""
+        keep-alive socket it is never parsed as the next request —
+        on both fronts."""
         stray = raw_request(
             "POST", "/nope", json.dumps({"op": "stats"}).encode()
         )
-        with front(RELATIONS, workers=1) as server:
-            with socket.create_connection(
-                (server.host, server.port), timeout=10
-            ) as sock:
-                sock.sendall(stray + raw_op({"op": "stats"}))
-                stream = sock.makefile("rb")
-                first, second = read_reply(stream), read_reply(stream)
-        assert status_of(first) == 404
-        assert json.loads(first[2])["error"].startswith(
-            "unknown path '/nope'"
-        )
-        assert status_of(second) == 200
-        assert json.loads(second[2])["ok"] is True
-        if front is ReproServer:
-            self.assert_head(first, 404, self.HEADERS)
-            self.assert_head(second, 200, self.HEADERS)
+        for front in (ReproServer, AsyncReproServer):
+            with front(RELATIONS, workers=1) as server:
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(stray + raw_op({"op": "stats"}))
+                    stream = sock.makefile("rb")
+                    first, second = read_reply(stream), read_reply(stream)
+            assert status_of(first) == 404, front.__name__
+            assert json.loads(first[2])["error"].startswith(
+                "unknown path '/nope'"
+            )
+            assert status_of(second) == 200, front.__name__
+            assert json.loads(second[2])["ok"] is True
+            if front is ReproServer:
+                self.assert_head(first, 404, self.HEADERS)
+                self.assert_head(second, 200, self.HEADERS)
 
     def test_503_adds_retry_after(self, server, monkeypatch):
         monkeypatch.setattr(server, "execute", overloaded)

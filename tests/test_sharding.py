@@ -1,18 +1,17 @@
-"""Shard-by-code-range serving (:mod:`repro.session.sharding`).
+"""Shard-by-code-range execution (:mod:`repro.session.sharding`).
 
-The differential law of the sharding router: for every shardable
-request, the merged response dict is **bit-identical** to what the
-unsharded protocol executor returns over the whole database — same
-result values, same error types, same error messages — under both
-engines.  Divergences exist only where sharding is read-only by
-construction (mutations) or structurally constrained (orders must
-start with the partitioned variable), and those are pinned too.
+The differential law of the shard merge: for every shardable request,
+the merged response dict is **bit-identical** to what the unsharded
+protocol executor returns over the whole database — same result
+values, same error types, same error messages — under both engines.
+Divergences exist only where sharding is read-only by construction
+(mutations) or structurally constrained (orders must start with the
+partitioned variable), and those are pinned too.
 
-The same law extends across the transport seam: an
-:class:`~repro.server.client.HTTPShardExecutor` fanning the identical
-requests out to real ``repro serve`` replicas must merge to the same
-bits as the in-process :func:`local_shard_executor` — proving shard
-backends can live on other hosts without changing a single answer.
+``TestChaosDegradation`` checks the transport faults a remote reader
+can meet: the ``client.*`` fault points of
+:class:`~repro.server.HTTPConnection` against a live
+:class:`~repro.server.http.ReproServer`.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.data.database import Database
-from repro.errors import QueryError
+from repro.chaos import faults
+from repro.errors import ProtocolError, QueryError, ReproError
 from repro.facade import connect
-from repro.server.client import HTTPShardExecutor
 from repro.server.http import ReproServer
 from repro.session.protocol import SessionRequest, execute
 from repro.session.sharding import (
@@ -197,160 +196,74 @@ class TestDifferentialLaw:
 
 
 @pytest.fixture(scope="module", params=["python", "numpy"])
-def http_sharding(request):
-    """Three real ``repro serve`` replicas, one per shard, plus the
-    in-process reference executors over the same plan.  Module-scoped:
-    one boot serves the whole differential matrix."""
-    engine = request.param
-    database = Database(RELATIONS)
-    plan = plan_shards(database, QUERY, shards=3, variable="x")
-    databases = shard_databases(database, plan)
-    servers = [
-        ReproServer(
-            mapping, engine=engine, workers=2, default_query=QUERY
-        ).start()
-        for mapping in databases
-    ]
-    transport = HTTPShardExecutor([s.url for s in servers])
-    local = ShardedExecutor(
-        plan, local_shard_executor(databases, engine)
-    )
-    remote = ShardedExecutor(plan, transport)
-    connection = connect(RELATIONS, engine=engine)
-    yield {
-        "local": local,
-        "remote": remote,
-        "reference": lambda req: execute(connection, req).to_dict(),
-        "urls": [s.url for s in servers],
-        "engine": engine,
-    }
-    transport.close()
-    for server in servers:
-        server.shutdown()
-
-
-class TestHTTPShardExecutor:
-    """The executor-protocol seam: shard backends over the network
-    answer the same bits as shard connections in this process."""
-
-    @pytest.mark.parametrize(
-        "case", TestDifferentialLaw.CASES, ids=lambda c: f"{c.op}"
-    )
-    def test_http_transport_is_bit_identical(self, case, http_sharding):
-        over_http = http_sharding["remote"].execute(case)
-        assert over_http == http_sharding["reference"](case)
-        assert over_http == http_sharding["local"].execute(case)
-
-    def test_mutations_are_refused_over_http(self, http_sharding):
-        reply = http_sharding["remote"].execute(
-            request("insert", relation="R", rows=((9, 9),))
-        )
-        assert reply["ok"] is False
-        assert reply["error_type"] == "ReadOnlyError"
-
-    def test_remote_shard_backend_end_to_end(self, http_sharding):
-        """A front server whose shards are the replicas: the facade
-        client reads through two HTTP hops and still matches a local
-        connection exactly."""
-        import repro
-
-        engine = http_sharding["engine"]
-        reference = connect(RELATIONS, engine=engine)
-        expected = reference.prepare(QUERY, order=["x", "y", "z"])
-        front = ReproServer(
-            RELATIONS,
-            engine=engine,
-            shard_backends=http_sharding["urls"],
-            default_query=QUERY,
-            shard_variable="x",
-        ).start()
-        try:
-            assert front.health()["mode"] == "sharded-remote"
-            assert front.read_only is True
-            client = repro.connect(front.url)
-            view = client.prepare(QUERY, order=["x", "y", "z"])
-            assert len(view) == len(expected)
-            for index in (0, 17, 63, -1):
-                assert tuple(view[index]) == tuple(expected[index])
-            assert view.median() == expected.median()
-            assert view.rank(expected[42]) == 42
-            stats = front.stats()
-            assert stats["backend"]["replicas"] == http_sharding["urls"]
-            client.close()
-        finally:
-            front.shutdown()
+def served(request):
+    """One live server per engine, shared by the degradation cases."""
+    server = ReproServer(
+        RELATIONS, engine=request.param, workers=2, default_query=QUERY
+    ).start()
+    yield server, connect(RELATIONS, engine=request.param)
+    server.shutdown()
 
 
 @pytest.fixture()
-def cold_remote(http_sharding):
-    """A fresh transport + executor over the already-running replicas:
-    function-scoped so every degradation test starts with a cold
-    merged-view cache and its requests really cross the wire."""
-    plan = plan_shards(
-        Database(RELATIONS), QUERY, shards=3, variable="x"
-    )
-    transport = HTTPShardExecutor(http_sharding["urls"])
-    yield ShardedExecutor(plan, transport)
-    transport.close()
+def remote(served):
+    """A fresh client and a prepared view: the health ping and the
+    prepare ride the keep-alive pool *before* any plan is armed."""
+    server, _local = served
+    conn = connect(server.url)
+    view = conn.prepare(QUERY, order=list(ORDER))
+    yield conn, view
+    conn.close()
 
 
 class TestChaosDegradation:
-    """Injected transport faults (:mod:`repro.chaos`) against the live
-    replicas: every failure mode must surface as a *structured* repro
-    error — bounded, typed, carrying the shard index — never a hang,
-    and never a poisoned keep-alive pool."""
+    """Injected transport faults (:mod:`repro.chaos`) against a live
+    server: every failure mode must surface as a *structured* repro
+    error — bounded and typed — never a hang, and never a poisoned
+    keep-alive pool."""
 
-    def test_injected_timeout_is_a_structured_error(self, http_sharding, cold_remote):
-        from repro.chaos import faults
+    @staticmethod
+    def assert_unreachable(view, spec: str) -> None:
+        with faults.armed(spec):
+            with pytest.raises(ReproError, match="cannot reach") as caught:
+                view[0]
+        assert type(caught.value) is ReproError
 
-        with faults.armed("client.timeout:once"):
-            reply = cold_remote.execute(request("count"))
-        assert reply["ok"] is False
-        assert reply["error_type"] == "ReproError"
-        assert "shard replica" in reply["error"]
-        assert "unreachable" in reply["error"]
+    def test_injected_timeout_is_a_structured_error(self, remote):
+        _conn, view = remote
+        self.assert_unreachable(view, "client.timeout:once")
 
-    def test_injected_disconnect_is_a_structured_error(self, http_sharding, cold_remote):
-        from repro.chaos import faults
+    def test_injected_disconnect_is_a_structured_error(self, remote):
+        _conn, view = remote
+        self.assert_unreachable(view, "client.disconnect:once")
 
-        with faults.armed("client.disconnect:once"):
-            reply = cold_remote.execute(request("count"))
-        assert reply["ok"] is False
-        assert reply["error_type"] == "ReproError"
-        assert "unreachable" in reply["error"]
-
-    def test_unparseable_5xx_is_a_protocol_error(self, http_sharding, cold_remote):
-        from repro.chaos import faults
-
+    def test_unparseable_5xx_is_a_protocol_error(self, remote):
+        _conn, view = remote
         with faults.armed("client.http_500:once"):
-            reply = cold_remote.execute(request("count"))
-        assert reply["ok"] is False
-        assert reply["error_type"] == "ProtocolError"
-        assert "did not answer with JSON" in reply["error"]
+            with pytest.raises(ProtocolError):
+                view[0]
 
-    def test_every_request_failing_still_terminates(self, http_sharding, cold_remote):
-        """p=1 fails the fan-out on every shard, every time: the
-        executor must keep answering structured errors, not wedge."""
-        from repro.chaos import faults
-
+    def test_every_request_failing_still_terminates(self, remote):
+        """p=1 fails every request, every time: the client must keep
+        raising structured errors, not wedge."""
+        _conn, view = remote
         with faults.armed("seed=1,client.timeout:p=1"):
             for _ in range(3):
-                reply = cold_remote.execute(request("count"))
-                assert reply["ok"] is False
-                assert reply["error_type"] == "ReproError"
+                with pytest.raises(ReproError, match="cannot reach"):
+                    view[0]
 
-    def test_pool_is_reusable_once_faults_clear(self, http_sharding, cold_remote):
-        """Faults fire before a socket is checked out, so the
-        keep-alive pool must come back bit-identical after disarm."""
-        from repro.chaos import faults
-
-        case = request("count")
+    def test_pool_is_reusable_once_faults_clear(self, served, remote):
+        """Faults fire before a socket is checked out, so the next read
+        after disarm rides the parked socket and answers correctly."""
+        _server, local = served
+        conn, view = remote
+        opened = conn._pool.opened
         with faults.armed("client.timeout:once"):
-            degraded = cold_remote.execute(case)
-            assert degraded["ok"] is False
-        # Same executor, same keep-alive pools, faults cleared: the
-        # next attempt must answer the reference bits.
-        assert cold_remote.execute(case) == http_sharding["reference"](case)
+            with pytest.raises(ReproError):
+                view[0]
+        expected = local.prepare(QUERY, order=list(ORDER))
+        assert tuple(view[0]) == tuple(expected[0])
+        assert conn._pool.opened == opened
 
 
 class TestDivergencesByDesign:
