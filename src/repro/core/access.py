@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.preprocessing import Preprocessing
 from repro.data.database import Database
@@ -36,6 +36,11 @@ from repro.engine.base import BagIndex
 from repro.errors import OrderError, OutOfBoundsError, QueryError
 from repro.query.query import JoinQuery
 from repro.query.variable_order import VariableOrder
+
+
+#: A bag index built from scratch: what changed in it is unknown, so
+#: every ancestor is built from scratch too.
+_REBUILT = object()
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,16 @@ class CountingForest:
     instead of silently mis-counting with one built for a different
     query, decomposition, projection, or database — per-bag indexes
     are order-independent, but only within one such tuple.
+    ``tables`` is the ``token`` of the
+    :class:`~repro.core.preprocessing.BagTables` the counts were taken
+    over: a later carrier patched from those tables can patch this
+    forest too.
     """
 
     indexes: Mapping[str, BagIndex]
     key: tuple
     database: Database
+    tables: object = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.indexes)
@@ -94,6 +104,14 @@ class DirectAccess:
             by any other order with the same decomposition; the
             forest's key is validated against this request and a
             mismatch raises :class:`~repro.errors.QueryError`.
+        base_forest: optionally (with ``forest`` absent), the forest of
+            the same request at an earlier database version.  When
+            ``preprocessing`` was patched from the tables that forest
+            was built over, each bag index whose rows and children did
+            not move is kept by identity and every other one is patched
+            by the engine (:attr:`patched_bag_count`); bags the engine
+            cannot patch, and their ancestors, are built from scratch
+            (:attr:`built_bag_count`).
     """
 
     def __init__(
@@ -105,6 +123,7 @@ class DirectAccess:
         *,
         preprocessing: Preprocessing | None = None,
         forest: CountingForest | None = None,
+        base_forest: CountingForest | None = None,
     ):
         self.query = query
         self.order = order
@@ -155,7 +174,17 @@ class DirectAccess:
                 "forest was built for a different query/"
                 "decomposition/projection/database"
             )
-        self._indexes, self._total = self._build_counts(forest)
+        if base_forest is not None and (
+            base_forest.key != forest_key
+            or base_forest.tables is None
+            or base_forest.tables is not self.preprocessing.basis
+        ):
+            base_forest = None
+        #: Bag indexes built from scratch / patched from ``base_forest``
+        #: here (both 0 when a whole ``forest`` was injected).
+        self.built_bag_count = 0
+        self.patched_bag_count = 0
+        self._indexes, self._total = self._build_counts(forest, base_forest)
         #: The counting forest — the cacheable, order-independent
         #: artifact (see the ``forest`` argument).
         self.forest = CountingForest(
@@ -165,6 +194,9 @@ class DirectAccess:
             },
             key=forest_key,
             database=database,
+            tables=(
+                self.preprocessing.token if forest is None else forest.tables
+            ),
         )
 
     @property
@@ -175,7 +207,9 @@ class DirectAccess:
     # -- preprocessing ----------------------------------------------------
 
     def _build_counts(
-        self, forest: CountingForest | None = None
+        self,
+        forest: CountingForest | None = None,
+        base: CountingForest | None = None,
     ) -> tuple[list[BagIndex], int]:
         count = len(self._bags)
         if forest is not None:
@@ -185,23 +219,45 @@ class DirectAccess:
             ]
         else:
             indexes: list[BagIndex | None] = [None] * count
+            # Per bag, after a patch: None (totals unchanged), the
+            # engine's record of the changed totals, or _REBUILT.
+            moved: list = [_REBUILT] * count
+            changes = self.preprocessing.changes
             for i in range(count - 1, -1, -1):
                 item = self._bags[i]
                 table = item.table
                 schema_pos = {v: p for p, v in enumerate(table.schema)}
-                child_slots = []
-                for child in self._children.get(i, ()):  # children: > i
-                    child_vars = self._interface_vars[child]
-                    child_slots.append(
-                        (
-                            indexes[child],
-                            [schema_pos[v] for v in child_vars],
-                        )
+                children = self._children.get(i, ())  # children: > i
+                child_slots = [
+                    (
+                        indexes[child],
+                        [schema_pos[v] for v in self._interface_vars[child]],
                     )
+                    for child in children
+                ]
                 projected_bag = item.bag.variable in self.projected
-                indexes[i] = self._engine.build_bag_index(
-                    table, child_slots, projected_bag
-                )
+                child_moves = [moved[child] for child in children]
+                patched = None
+                if base is not None and not any(
+                    m is _REBUILT for m in child_moves
+                ):
+                    old = base.indexes[item.bag.variable]
+                    rows = changes.get(item.bag.variable, ())
+                    if not rows and all(m is None for m in child_moves):
+                        indexes[i], moved[i] = old, None
+                        continue
+                    patched = self._engine.patch_bag_index(
+                        old, table, rows, child_slots, child_moves,
+                        projected_bag,
+                    )
+                if patched is None:
+                    indexes[i] = self._engine.build_bag_index(
+                        table, child_slots, projected_bag
+                    )
+                    self.built_bag_count += 1
+                else:
+                    indexes[i], moved[i] = patched
+                    self.patched_bag_count += 1
 
         total = 1
         for root in self._children.get(None, ()):

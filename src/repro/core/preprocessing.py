@@ -12,12 +12,17 @@ All tuple-level work (atom interpretation, projections, joins, exact
 semijoin filters) runs on the execution engine active at construction
 time, so one preprocessing pass is internally consistent even if the
 global engine is switched while it runs.
+
+After a write, the bag relations can instead be moved forward from the
+previous version's by the delta rule (``patch_from``): bags that read
+no touched relation are shared, the others get only the rows the delta
+can add or remove.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 
 from repro.core.decomposition import Bag, DisruptionFreeDecomposition
 from repro.data.database import Database
@@ -49,14 +54,79 @@ class BagTables:
     :class:`Preprocessing` *validate* injected tables instead of
     silently replaying stale ones: per-bag tables are order-independent
     within one (query, decomposition, database) triple, and only there.
+
+    A carrier patched from an earlier version's (see
+    :class:`Preprocessing`'s ``patch_from``) names that carrier's
+    ``token`` as its ``basis`` and lists, per bag whose rows moved,
+    the engine's change records (``changes``); a counting forest built
+    over the basis is patched by exactly those rows.  Bags absent from
+    ``changes`` hold the basis's table object itself.
     """
 
     tables: Mapping[str, Table]
     key: tuple
     database: Database
+    token: object = field(default_factory=object, compare=False)
+    basis: object = field(default=None, compare=False)
+    changes: Mapping[str, Sequence] = field(
+        default_factory=dict, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.tables)
+
+
+@dataclass(frozen=True)
+class _BagPlan:
+    """How one bag relation is computed: the cover atoms joined (by
+    index into the query's atoms, with their projected variables), the
+    atoms enforced exactly by a semijoin, and the relation names all of
+    them read."""
+
+    schema: tuple[str, ...]
+    covers: tuple[tuple[int, tuple[str, ...]], ...]
+    filters: tuple[int, ...]
+    relations: frozenset[str]
+
+
+class _Step:
+    """One effective delta and the database it leads to, with the atom
+    tables the delta rule reads built once per atom: the atom over the
+    new relation, and over the delta's inserted and deleted rows (in
+    the new relation's encoding; ``None`` when they cannot be)."""
+
+    def __init__(self, engine, atoms, delta, database: Database):
+        self._engine = engine
+        self._atoms = atoms
+        self._delta = delta
+        self._database = database
+        self._memo: dict[tuple, object] = {}
+
+    def _table(self, side, a: int):
+        key = (side, a)
+        if key not in self._memo:
+            atom = self._atoms[a]
+            relation = self._database[atom.relation]
+            if side == "current":
+                value = self._engine.from_atom(atom, relation)
+            else:
+                rows = getattr(self._delta, side).get(atom.relation, ())
+                value = (
+                    self._engine.delta_table(atom, relation, rows)
+                    if rows
+                    else ()
+                )
+            self._memo[key] = value
+        return self._memo[key]
+
+    def current(self, a: int) -> Table:
+        return self._table("current", a)
+
+    def inserted(self, a: int):
+        return self._table("inserts", a)
+
+    def deleted(self, a: int):
+        return self._table("deletes", a)
 
 
 class Preprocessing:
@@ -84,6 +154,17 @@ class Preprocessing:
             or database raises :class:`~repro.errors.QueryError`.  When
             given, no tuple-level work happens at all;
             :attr:`materialized_bag_count` stays 0.
+        patch_from: optionally, ``(base, steps)``: the
+            :class:`BagTables` of this (query, decomposition) at an
+            earlier database version, and the ``(delta, database)``
+            pairs that lead from it to ``database`` (effective deltas,
+            oldest first, the last database being ``database``).  When
+            the engine can patch (:attr:`~repro.engine.base.Engine.
+            patches_artifacts`), each bag whose plan reads no touched
+            relation keeps its table object, and every other bag is
+            moved forward by the delta rule and spliced
+            (:attr:`patched_bag_count`).  Anything the patch cannot
+            express falls back to a from-scratch materialization.
     """
 
     def __init__(
@@ -94,6 +175,7 @@ class Preprocessing:
         *,
         decomposition: DisruptionFreeDecomposition | None = None,
         bag_tables: BagTables | None = None,
+        patch_from: tuple[BagTables, Sequence] | None = None,
     ):
         database.validate_for(query)
         self.query = query
@@ -119,9 +201,22 @@ class Preprocessing:
         )
         #: Bags whose relations were materialized here (0 on cache reuse).
         self.materialized_bag_count = 0
+        #: Bags whose relations were moved forward from ``patch_from``.
+        self.patched_bag_count = 0
+        #: Identity, patch basis and per-bag change records of these
+        #: tables (the :class:`BagTables` fields of the same names).
+        self.token: object = object()
+        self.basis = None
+        self.changes: dict[str, list] = {}
         if bag_tables is None:
-            self.bags = self._materialize()
-            self.materialized_bag_count = len(self.bags)
+            patched = (
+                None if patch_from is None else self._patch(*patch_from)
+            )
+            if patched is None:
+                self.bags = self._materialize()
+                self.materialized_bag_count = len(self.bags)
+            else:
+                self.bags = patched
         else:
             if (
                 bag_tables.database is not database
@@ -137,6 +232,9 @@ class Preprocessing:
                 )
                 for bag in self.decomposition.bags
             ]
+            self.token = bag_tables.token
+            self.basis = bag_tables.basis
+            self.changes = dict(bag_tables.changes)
 
     def bag_tables(self) -> BagTables:
         """The materialized bag relations as a reusable carrier.
@@ -154,11 +252,75 @@ class Preprocessing:
             },
             key=self._provenance,
             database=self.database,
+            token=self.token,
+            basis=self.basis,
+            changes=self.changes,
         )
 
     @property
     def incompatibility_number(self):
         return self.decomposition.incompatibility_number
+
+    def _ordered(self, variables) -> list[str]:
+        return sorted(variables, key=self._position.__getitem__)
+
+    def _plans(self) -> list[_BagPlan]:
+        atoms = self.query.atoms
+        # Atoms are enforced exactly at the bag of their latest variable.
+        enforced_at: dict[int, list[int]] = {}
+        for a, atom in enumerate(atoms):
+            index = self.decomposition.bag_of_atom(atom.scope)
+            enforced_at.setdefault(index, []).append(a)
+
+        plans = []
+        for bag in self.decomposition.bags:
+            covers = []
+            whole = set()  # atoms that join unprojected
+            for trace, _weight in bag.cover:
+                a = self._covering_atom(trace, bag)
+                covers.append((a, tuple(self._ordered(trace))))
+                if len(trace) == len(atoms[a].scope):
+                    whole.add(a)
+            if not covers:
+                raise QueryError(
+                    f"bag {set(bag.edge)} has an empty fractional cover"
+                )
+            # The join already holds only rows of every atom it joined
+            # whole: filtering by that same atom is the identity.
+            # Another atom of equal scope (a self-join, ``R(x,y),
+            # S(x,y)``) still filters.
+            filters = tuple(
+                a for a in enforced_at.get(bag.index, ()) if a not in whole
+            )
+            plans.append(
+                _BagPlan(
+                    schema=tuple(
+                        self._ordered(bag.interface) + [bag.variable]
+                    ),
+                    covers=tuple(covers),
+                    filters=filters,
+                    relations=frozenset(
+                        atoms[a].relation
+                        for a in (*(c for c, _ in covers), *filters)
+                    ),
+                )
+            )
+        return plans
+
+    def _covering_atom(self, trace: frozenset[str], bag: Bag) -> int:
+        """The index of an atom whose scope traces to ``trace`` on the
+        bag (its projection ``π_{e_i}`` joins into the bag relation)."""
+        for a, atom in enumerate(self.query.atoms):
+            if atom.scope & bag.edge == trace:
+                return a
+        raise QueryError(
+            f"no atom realizes trace {set(trace)} on bag {set(bag.edge)}"
+        )
+
+    def _project(self, table: Table, variables) -> Table:
+        return self.engine.project(
+            table, variables, table._positions(variables)
+        )
 
     def _atom_tables(self) -> list[Table]:
         return [
@@ -166,60 +328,143 @@ class Preprocessing:
             for atom in self.query.atoms
         ]
 
-    def _ordered(self, variables) -> list[str]:
-        return sorted(variables, key=self._position.__getitem__)
-
     def _materialize(self) -> list[PreprocessedBag]:
         atom_tables = self._atom_tables()
-
-        # Atoms are enforced exactly at the bag of their latest variable.
-        enforced_at: dict[int, list[Table]] = {}
-        for table in atom_tables:
-            index = self.decomposition.bag_of_atom(frozenset(table.schema))
-            enforced_at.setdefault(index, []).append(table)
-
         out: list[PreprocessedBag] = []
-        for bag in self.decomposition.bags:
-            bag_schema = self._ordered(bag.interface) + [bag.variable]
-            cover_tables = []
-            whole: list[Table] = []  # atoms that join unprojected
-            for trace, _weight in bag.cover:
-                source = self._covering_atom(trace, bag, atom_tables)
-                variables = tuple(self._ordered(trace))
-                cover_tables.append(
-                    self.engine.project(
-                        source, variables, source._positions(variables)
-                    )
-                )
-                if len(trace) == len(source.schema):
-                    whole.append(source)
-            if not cover_tables:
-                raise QueryError(
-                    f"bag {set(bag.edge)} has an empty fractional cover"
-                )
-            table = self.engine.join(cover_tables, bag_schema)
-            for exact in enforced_at.get(bag.index, ()):  # exact filters
-                # The join already holds only rows of every table it
-                # joined whole: filtering by that same table object is
-                # the identity.  Another atom of equal scope (a
-                # self-join, ``R(x,y), S(x,y)``) is a different object
-                # and still filters.
-                if not any(exact is source for source in whole):
-                    table = self.engine.semijoin(table, exact)
+        for bag, plan in zip(self.decomposition.bags, self._plans()):
+            table = self.engine.join(
+                [
+                    self._project(atom_tables[a], variables)
+                    for a, variables in plan.covers
+                ],
+                plan.schema,
+            )
+            for a in plan.filters:  # exact filters
+                table = self.engine.semijoin(table, atom_tables[a])
             out.append(PreprocessedBag(bag=bag, table=table))
         return out
 
-    def _covering_atom(
-        self, trace: frozenset[str], bag: Bag, atom_tables: list[Table]
-    ) -> Table:
-        """The table of an atom whose scope traces to ``trace`` on the
-        bag (its projection ``π_{e_i}`` joins into the bag relation)."""
-        for table in atom_tables:
-            if frozenset(table.schema) & bag.edge == trace:
-                return table
-        raise QueryError(
-            f"no atom realizes trace {set(trace)} on bag {set(bag.edge)}"
-        )
+    # -- moving forward by a delta ------------------------------------------
+
+    def _patch(self, base: BagTables, steps) -> list[PreprocessedBag] | None:
+        """The bag relations of ``base`` moved through ``steps``, or
+        ``None`` when the engine cannot patch them (rebuild instead).
+
+        Per step, a bag whose plan reads no touched relation keeps its
+        table object.  For the others, the delta rule gives the rows
+        that may enter — the bag's cover join with one touched atom
+        replaced by its inserted rows, or with a touched filter atom's
+        inserted rows joined in, then filtered like :meth:`_materialize`
+        — and the rows that may leave: the old rows matching a deleted
+        row of an atom the bag reads, kept only if they still satisfy
+        every atom of the new version.  The engine splices both into
+        the table (``spliced_table``) on fresh storage.
+        """
+        if (
+            not self.engine.patches_artifacts
+            or base.key != self._provenance
+            or not steps
+            or steps[-1][1] is not self.database
+        ):
+            return None
+        plans = self._plans()
+        tables = dict(base.tables)
+        changes: dict[str, list] = {}
+        touched_bags = set()
+        for delta, database in steps:
+            step = _Step(self.engine, self.query.atoms, delta, database)
+            for bag, plan in zip(self.decomposition.bags, plans):
+                if not plan.relations & delta.touched:
+                    continue
+                touched_bags.add(bag.variable)
+                inserted = self._entering(plan, step)
+                removed, kept = self._leaving(
+                    plan, step, tables[bag.variable]
+                )
+                if inserted is None or removed is None:
+                    return None
+                if not inserted and not removed:
+                    continue
+                spliced = self.engine.spliced_table(
+                    tables[bag.variable], inserted, removed, kept
+                )
+                if spliced is None:
+                    return None
+                table, change = spliced
+                if change is not None:
+                    tables[bag.variable] = table
+                    changes.setdefault(bag.variable, []).append(change)
+        self.patched_bag_count = len(touched_bags)
+        self.basis = base.token
+        self.changes = changes
+        return [
+            PreprocessedBag(bag=bag, table=tables[bag.variable])
+            for bag in self.decomposition.bags
+        ]
+
+    def _entering(self, plan: _BagPlan, step: "_Step") -> list | None:
+        """Candidate rows the step may add to the bag (``None``: not
+        expressible in the engine's encoding)."""
+        atoms = self.query.atoms
+        joins = []
+        for i, (a, variables) in enumerate(plan.covers):
+            added = step.inserted(a)
+            if added is None:
+                return None
+            if not len(added):
+                continue
+            joins.append(
+                [
+                    self._project(
+                        added if j == i else step.current(b), names
+                    )
+                    for j, (b, names) in enumerate(plan.covers)
+                ]
+            )
+        for a in plan.filters:
+            added = step.inserted(a)
+            if added is None:
+                return None
+            if not len(added):
+                continue
+            shared = self._ordered(atoms[a].scope & set(plan.schema))
+            if not shared:
+                return None
+            joins.append(
+                [
+                    self._project(step.current(b), names)
+                    for b, names in plan.covers
+                ]
+                + [self._project(added, tuple(shared))]
+            )
+        out = []
+        for tables in joins:
+            table = self.engine.join(tables, plan.schema)
+            for a in plan.filters:
+                table = self.engine.semijoin(table, step.current(a))
+            out.append(table)
+        return out
+
+    def _leaving(self, plan: _BagPlan, step: "_Step", table: Table):
+        """``(removed, kept)``: old rows the step may drop, and those
+        of them every atom of the new version still supports (``None,
+        None``: not expressible in the engine's encoding)."""
+        reads = dict.fromkeys((*(a for a, _ in plan.covers), *plan.filters))
+        removed = []
+        for a in reads:
+            gone = step.deleted(a)
+            if gone is None:
+                return None, None
+            if len(gone):
+                removed.append(self.engine.semijoin(table, gone))
+        kept = []
+        for candidates in removed:
+            for a in reads:
+                candidates = self.engine.semijoin(
+                    candidates, step.current(a)
+                )
+            kept.append(candidates)
+        return removed, kept
 
     def materialized_size(self) -> int:
         """Total number of tuples across the bag relations."""

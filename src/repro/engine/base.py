@@ -171,6 +171,11 @@ class Engine(abc.ABC):
     #: Registry name (``"python"`` / ``"numpy"``).
     name: str = "abstract"
 
+    #: Whether :meth:`spliced_table` and :meth:`patch_bag_index` can
+    #: move bag tables and counting forests forward by a delta.  An
+    #: engine without it rebuilds them after every write.
+    patches_artifacts: bool = False
+
     def __init__(self) -> None:
         #: Operation counters (see :class:`OpCounters`); the access
         #: layer increments them for every walk/batch it dispatches.
@@ -269,6 +274,47 @@ class Engine(abc.ABC):
         new_database = database.advanced_by(delta)
         self.encode_database(new_database)
         return new_database, True, 0
+
+    # -- incremental maintenance -------------------------------------------
+
+    def delta_table(self, atom, relation, rows):
+        """``rows`` of ``relation`` (a delta side) interpreted through
+        ``atom``, in the encoding ``relation`` carries; ``None`` when
+        they cannot be expressed in it (or the engine does not patch)."""
+        return None
+
+    def spliced_table(self, table, inserted, removed, kept):
+        """``table`` moved forward by one delta, or ``None`` when this
+        engine cannot splice it (the caller rebuilds).
+
+        ``inserted`` and ``removed`` are candidate tables over
+        ``table``'s schema: the result gains the ``inserted`` rows it
+        lacks and loses the ``removed`` rows that are not in any
+        ``kept`` table.  Returns ``(new_table, change)``: ``change`` is
+        an engine-private record of the rows that moved, ``None`` (and
+        ``new_table is table``) when none did.  ``table`` is never
+        written.
+        """
+        return None
+
+    def patch_bag_index(
+        self, index, table, changes, child_slots, child_changes,
+        projected,
+    ):
+        """``index`` (built over an earlier version of ``table``) moved
+        forward, or ``None`` when this engine cannot patch it.
+
+        ``changes`` lists the :meth:`spliced_table` change records of
+        the rows that moved in ``table`` since; ``child_slots`` is as
+        in :meth:`build_bag_index`, with each child's *current* index,
+        and ``child_changes`` holds, per child, the interface keys
+        whose total changed (``None``: none did).  Returns
+        ``(new_index, changed)`` with ``changed`` the same record for
+        this bag's own groups; the result equals a
+        :meth:`build_bag_index` from scratch, and ``index`` is never
+        written.
+        """
+        return None
 
     # -- batch access ------------------------------------------------------
 

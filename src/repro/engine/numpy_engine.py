@@ -22,9 +22,17 @@ of exactly one index or row) is one scalar descent over the lazily
 decoded groups of :class:`_LazyGroups`, in Python ints; a batch of two
 or more descends level-synchronously in vectorized ``searchsorted``
 calls.  Both give the Python engine's answers bit for bit.
+
+Bag tables come out of :meth:`NumpyEngine.join` lexsorted, which is
+what lets a write move them forward instead of rebuilding them: the
+delta's rows are spliced into the sorted table
+(:meth:`NumpyEngine.spliced_table`) and the bag's CSR mirror is patched
+group by group on fresh arrays (:meth:`NumpyEngine.patch_bag_index`).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -86,6 +94,43 @@ def _unique_rows(codes, card: int):
     )
     _, idx = np.unique(keys, return_index=True)
     return codes[idx]
+
+
+def _is_lexsorted(codes, card: int) -> bool:
+    """Whether the rows of a code matrix are strictly ascending."""
+    if codes.shape[0] < 2 or codes.shape[1] == 0:
+        return codes.shape[0] < 2
+    keys = pack_keys(
+        [codes[:, i] for i in range(codes.shape[1])], max(card, 1)
+    )
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+def _found(keys, probes):
+    """Which ``probes`` occur in the ascending key array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(probes), dtype=bool)
+    at = np.searchsorted(keys, probes)
+    clipped = np.minimum(at, len(keys) - 1)
+    return (at < len(keys)) & (keys[clipped] == probes)
+
+
+def _group_totals(aux, sub):
+    """``aux.totals`` at each row of ``sub`` (interface codes in
+    ``aux``'s dictionary, ``-1`` for a value it lacks); 0 where no such
+    group exists."""
+    if not aux.group_codes.shape[0]:
+        return np.zeros(sub.shape[0], dtype=aux.totals.dtype)
+    valid = (sub >= 0).all(axis=1)
+    ka, kb = pack_pair(
+        np.where(sub < 0, 0, sub),
+        aux.group_codes,
+        max(len(aux.dictionary), 1),
+    )
+    at = np.searchsorted(kb, ka)
+    clipped = np.minimum(at, len(kb) - 1)
+    match = valid & (at < len(kb)) & (kb[clipped] == ka)
+    return np.where(match, aux.totals[clipped], 0)
 
 
 class _BagAux:
@@ -172,13 +217,13 @@ def bag_index_from_aux(aux: "_BagAux") -> BagIndex:
     index = BagIndex()
     index.aux = aux
     domain = aux.dictionary.values
-    group_of: dict[tuple, int] = {}
-    totals_list = aux.totals.tolist()
-    for g, key_codes in enumerate(aux.group_codes.tolist()):
-        interface = tuple(domain[c] for c in key_codes)
-        group_of[interface] = g
-        index.totals[interface] = totals_list[g]
-    index.groups = _LazyGroups(aux, group_of)
+    index.totals = {
+        tuple(domain[c] for c in key_codes): total
+        for key_codes, total in zip(
+            aux.group_codes.tolist(), aux.totals.tolist()
+        )
+    }
+    index.groups = _LazyGroups(aux, index.totals)
     return index
 
 
@@ -195,31 +240,50 @@ class _LazyGroups(dict):
     as long as the forest.  Concurrent readers may decode the same
     group at once; the write is once-only (``setdefault``), so all of
     them get the same triple.
+
+    ``totals`` (the index's own dict) says which groups exist; a group
+    is located by binary search over ``group_codes``, so no per-group
+    position map has to be built, or rebuilt when a patch shifts the
+    groups.
     """
 
-    __slots__ = ("_aux", "_group_of")
+    __slots__ = ("_aux", "_totals")
 
-    def __init__(self, aux: "_BagAux", group_of: dict):
+    def __init__(self, aux: "_BagAux", totals: dict):
         super().__init__()
         self._aux = aux
-        self._group_of = group_of
+        self._totals = totals
 
     def __contains__(self, interface) -> bool:
         return (
             super().__contains__(interface)
-            or interface in self._group_of
+            or interface in self._totals
         )
 
     def __missing__(self, interface):
-        group = self._group_of[interface]  # KeyError when unknown
+        if interface not in self._totals:
+            raise KeyError(interface)
         aux = self._aux
+        code = aux.dictionary._code
+        # Narrow the sorted group codes one column at a time: a scalar
+        # binary search, like the rest of the point-read descent.
+        group, end = 0, aux.group_codes.shape[0]
+        for column, value in enumerate(interface):
+            keys = aux.group_codes[:, column]
+            wanted = code[value]
+            group, end = (
+                bisect_left(keys, wanted, group, end),
+                bisect_right(keys, wanted, group, end),
+            )
         start = int(aux.offsets[group])
         end = int(aux.offsets[group + 1])
         domain = aux.dictionary.values
-        weights = aux.weights_flat[start:end].tolist()
-        before = aux.cum_before[start:end].tolist()
+        weights = aux.weights_flat[start:end]
         cumulative = [0]
-        cumulative.extend(b + w for b, w in zip(before, weights))
+        cumulative.extend(
+            (aux.cum_before[start:end] + weights).tolist()
+        )
+        weights = weights.tolist()
         values = [
             domain[c] for c in aux.values_flat[start:end].tolist()
         ]
@@ -436,6 +500,7 @@ class NumpyEngine(Engine):
             choice = np.argmin(counts_matrix, axis=1)
             width = frontier.shape[1]
             chunks = []
+            reps = []
             for p, (proj, order, lo) in enumerate(lookups):
                 rows = np.flatnonzero(choice == p)
                 if not len(rows):
@@ -446,6 +511,7 @@ class NumpyEngine(Engine):
                 rep, pidx = _expand_matches(
                     rows, lo[rows], counts, order
                 )
+                reps.append(rep)
                 chunks.append(
                     np.concatenate(
                         [
@@ -455,8 +521,14 @@ class NumpyEngine(Engine):
                         axis=1,
                     )
                 )
-            if chunks:
-                frontier = np.concatenate(chunks, axis=0)
+            if len(chunks) > 1:
+                # Each frontier row expanded from one participant, so a
+                # stable sort by frontier row restores the lexicographic
+                # order that every single-participant level keeps.
+                order = np.argsort(np.concatenate(reps), kind="stable")
+                frontier = np.concatenate(chunks, axis=0)[order]
+            elif chunks:
+                frontier = chunks[0]
             else:
                 frontier = np.empty((0, width + 1), dtype=np.int64)
             bound_index[v] = width
@@ -533,26 +605,11 @@ class NumpyEngine(Engine):
         weights = np.ones(n, dtype=object if use_object else np.int64)
         for child, positions in child_slots:
             aux = child.aux
-            group_count = aux.group_codes.shape[0]
-            if group_count == 0:
-                weights[:] = 0
-                continue
             sub = np.ascontiguousarray(ct.codes[:, positions])
             if ct.dictionary is not aux.dictionary and positions:
                 remap = ct.dictionary.remap_to(aux.dictionary)
                 sub = remap[sub]
-            if positions:
-                valid = (sub >= 0).all(axis=1)
-                sub = np.where(sub < 0, 0, sub)
-            else:
-                valid = np.ones(n, dtype=bool)
-            ka, kb = pack_pair(
-                sub, aux.group_codes, max(len(aux.dictionary), 1)
-            )
-            pos = np.searchsorted(kb, ka)
-            clipped = np.minimum(pos, group_count - 1)
-            match = valid & (pos < group_count) & (kb[clipped] == ka)
-            weights *= np.where(match, aux.totals[clipped], 0)
+            weights *= _group_totals(aux, sub)
         if projected:
             # Existence suffices below a projected variable (Theorem 50).
             weights = (weights > 0).astype(np.int64)
@@ -576,12 +633,15 @@ class NumpyEngine(Engine):
 
         # Group by interface, order by bag-variable code: one lexsort
         # (codes are order-preserving, so this is the value order), then
-        # prefix sums per group via a single cumsum.
-        order = np.lexsort(
-            tuple(codes[:, c] for c in range(arity - 1, -1, -1))
-        )
-        codes = codes[order]
-        weights = weights[order]
+        # prefix sums per group via a single cumsum.  Bag tables built
+        # by this engine already come sorted (see join), so the
+        # lexsort only runs for tables that arrive from elsewhere.
+        if not _is_lexsorted(codes, len(ct.dictionary)):
+            order = np.lexsort(
+                tuple(codes[:, c] for c in range(arity - 1, -1, -1))
+            )
+            codes = codes[order]
+            weights = weights[order]
         if k:
             change = np.any(
                 codes[1:, :k] != codes[:-1, :k], axis=1
@@ -611,6 +671,247 @@ class NumpyEngine(Engine):
                 totals,
             )
         )
+
+    # -- incremental maintenance -------------------------------------------
+
+    patches_artifacts = True
+
+    def delta_table(self, atom, relation, rows):
+        """Delta rows through ``atom``, encoded in ``relation``'s
+        dictionary (so every later operator short-circuits its merge);
+        ``None`` when the relation has no mirror or a value is missing
+        from it (the delta renumbered, or the domain is unorderable)."""
+        from repro.data.relation import Relation
+
+        mirror = relation._columnar
+        if mirror is None:
+            return None
+        rows = list(rows)
+        try:
+            encoded = ColumnarTable.from_rows(
+                rows, relation.arity, mirror.dictionary
+            ).lexsorted()
+        except (KeyError, TypeError):
+            return None
+        return self.from_atom(
+            atom,
+            Relation._make(frozenset(rows), relation.arity, None, encoded),
+        )
+
+    def spliced_table(self, table, inserted, removed, kept):
+        """Splice one delta's rows into a sorted bag table.
+
+        Every operand must be columnar under the table's own
+        dictionary, and the table lexsorted (what this engine's joins
+        produce); otherwise ``None``.  The change record is the code
+        matrix of the rows that moved, inserted and removed alike.
+        """
+        from repro.joins.operators import Table
+
+        ct = table._columnar
+        if ct is None:
+            return None
+        dictionary = ct.dictionary
+        card = max(len(dictionary), 1)
+        sides = []
+        for tables in (inserted, removed, kept):
+            mats = [np.empty((0, ct.arity), dtype=np.int64)]
+            for part in tables:
+                pct = part._columnar
+                if (
+                    pct is None
+                    or pct.dictionary is not dictionary
+                    or part.schema != table.schema
+                ):
+                    return None
+                mats.append(pct.codes)
+            sides.append(_unique_rows(np.concatenate(mats), card))
+        inserts, removals, keeps = sides
+        keys, probes = pack_pair(
+            ct.codes, np.concatenate(sides, axis=0), card
+        )
+        if len(keys) > 1 and not np.all(keys[1:] > keys[:-1]):
+            return None
+        gained, lost = len(inserts), len(inserts) + len(removals)
+        inserts = inserts[~_found(keys, probes[:gained])]
+        removals = removals[
+            ~np.isin(probes[gained:lost], probes[lost:])
+        ]
+        if not len(inserts) and not len(removals):
+            return table, None
+        spliced = Table._from_columnar(
+            table.schema, ct.spliced(inserts, removals)
+        )
+        return spliced, np.concatenate([inserts, removals])
+
+    def patch_bag_index(
+        self, index, table, changes, child_slots, child_changes,
+        projected,
+    ):
+        """Patch a bag's ``_BagAux`` group by group, on fresh arrays.
+
+        The rows whose weight may have moved are the spliced rows
+        (``changes``) plus every row whose child interface is a key in
+        ``child_changes``.  Each touched interface group is re-formed
+        from its old candidates (minus the touched ones) and the
+        touched rows still in the table, with their weights recomputed
+        from the children's current totals; every other group's
+        slice of the flat arrays is copied as it was.  ``totals`` is
+        carried as a copy of the old dict with the touched groups
+        rewritten; decoded groups start empty, as after a build (a
+        carried decode cache would grow with every version).
+        Object-dtype weights, a weight bound that
+        would need them, a child over another dictionary or with an
+        empty interface return ``None``: the caller rebuilds.
+        """
+        aux = index.aux
+        ct = table._columnar
+        if (
+            aux is None
+            or ct is None
+            or ct.dictionary is not aux.dictionary
+            or aux.weights_flat.dtype == np.dtype(object)
+        ):
+            return None
+        n, arity = ct.codes.shape
+        k = arity - 1
+        card = max(len(ct.dictionary), 1)
+        bound = 1
+        for child, _positions in child_slots:
+            caux = child.aux
+            if (
+                caux is None
+                or caux.dictionary is not ct.dictionary
+                or caux.totals.dtype == np.dtype(object)
+            ):
+                return None
+            bound *= max(caux.max_total, 1)
+            if bound * max(n, 1) >= _MAX_SAFE:
+                return None
+
+        touched = [np.empty((0, arity), dtype=np.int64), *changes]
+        for (child, positions), keys in zip(child_slots, child_changes):
+            if keys is None:
+                continue
+            if not positions:
+                return None
+            ka, kb = pack_pair(ct.codes[:, positions], keys, card)
+            touched.append(ct.codes[np.isin(ka, kb)])
+        rows = _unique_rows(np.concatenate(touched), card)
+        if not len(rows):
+            return index, None
+
+        # The weight every touched row has now: 0 once it left the table.
+        keys, probes = pack_pair(ct.codes, rows, card)
+        if len(keys) > 1 and not np.all(keys[1:] > keys[:-1]):
+            return None
+        weights = _found(keys, probes).astype(np.int64)
+        for child, positions in child_slots:
+            weights *= _group_totals(
+                child.aux, np.ascontiguousarray(rows[:, positions])
+            )
+        if projected:
+            weights = (weights > 0).astype(np.int64)
+
+        # Touched rows are sorted, so each interface group is one run.
+        if k:
+            change = np.any(rows[1:, :k] != rows[:-1, :k], axis=1)
+            starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+        else:
+            starts = np.zeros(1, dtype=np.int64)
+        ends = np.append(starts[1:], len(rows))
+        group_keys = rows[starts, :k]
+        old_groups = aux.group_codes.shape[0]
+        found = np.zeros(len(starts), dtype=bool)
+        at = np.zeros(len(starts), dtype=np.int64)
+        if old_groups:
+            ka, kb = pack_pair(group_keys, aux.group_codes, card)
+            at = np.searchsorted(kb, ka)
+            found = _found(kb, ka)
+        old_counts = np.diff(aux.offsets)
+        offsets = aux.offsets
+        parts: dict[str, list] = {
+            name: [] for name in ("values", "weights", "cum", "counts",
+                                  "codes", "totals")
+        }
+
+        def carry(first: int, last: int) -> None:
+            """Old groups ``[first, last)``, unchanged."""
+            if last <= first:
+                return
+            lo, hi = int(offsets[first]), int(offsets[last])
+            parts["values"].append(aux.values_flat[lo:hi])
+            parts["weights"].append(aux.weights_flat[lo:hi])
+            parts["cum"].append(aux.cum_before[lo:hi])
+            parts["counts"].append(old_counts[first:last])
+            parts["codes"].append(aux.group_codes[first:last])
+            parts["totals"].append(aux.totals[first:last])
+
+        totals = dict(index.totals)
+        domain = ct.dictionary.values
+        changed = []
+        cursor = 0
+        for t in range(len(starts)):
+            g = int(at[t])
+            carry(cursor, g)
+            run = rows[starts[t]:ends[t], k]
+            values = aux.values_flat[:0]
+            kept_weights = aux.weights_flat[:0]
+            old_total = 0
+            cursor = g
+            if found[t]:
+                lo, hi = int(offsets[g]), int(offsets[g + 1])
+                values = aux.values_flat[lo:hi]
+                kept_weights = aux.weights_flat[lo:hi]
+                old_total = int(aux.totals[g])
+                stale = np.flatnonzero(np.isin(values, run))
+                values = np.delete(values, stale)
+                kept_weights = np.delete(kept_weights, stale)
+                cursor = g + 1
+            run_weights = weights[starts[t]:ends[t]]
+            live = run_weights > 0
+            fresh = run[live]
+            slot = np.searchsorted(values, fresh)
+            values = np.insert(values, slot, fresh)
+            group_weights = np.insert(kept_weights, slot, run_weights[live])
+            total = 0
+            if len(values):
+                csum = np.cumsum(group_weights)
+                total = 1 if projected else int(csum[-1])
+                parts["values"].append(values)
+                parts["weights"].append(group_weights)
+                parts["cum"].append(csum - group_weights)
+                parts["counts"].append(np.array([len(values)]))
+                parts["codes"].append(group_keys[t:t + 1])
+                parts["totals"].append(np.array([total], dtype=np.int64))
+            interface = tuple(domain[c] for c in group_keys[t].tolist())
+            if total:
+                totals[interface] = total
+            else:
+                totals.pop(interface, None)
+            if total != old_total:
+                changed.append(t)
+        carry(cursor, old_groups)
+
+        def joined(name, empty):
+            return np.concatenate([empty, *parts[name]])
+
+        flat = np.empty(0, dtype=np.int64)
+        counts = joined("counts", flat)
+        patched = _BagAux(
+            ct.dictionary,
+            joined("codes", np.empty((0, k), dtype=np.int64)),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+            joined("values", flat),
+            joined("weights", flat),
+            joined("cum", flat),
+            joined("totals", flat),
+        )
+        out = BagIndex()
+        out.aux = patched
+        out.totals = totals
+        out.groups = _LazyGroups(patched, totals)
+        return out, (group_keys[changed] if changed else None)
 
     # -- database preparation ----------------------------------------------
 

@@ -221,6 +221,9 @@ class ArtifactStore:
     #: DirectAccess structures; ``plans`` and ``decompositions`` hold
     #: the (data-independent) planner products.
     KINDS = ("preprocessing", "forest", "access", "plans", "decompositions")
+    #: Kinds a read at a newer version may patch instead of rebuilding,
+    #: when the engine can (``Engine.patches_artifacts``).
+    PATCHABLE = ("preprocessing", "forest")
 
     def __init__(
         self,
@@ -271,6 +274,12 @@ class ArtifactStore:
             kind: CostAwareCache(capacity, self.stats.of(kind))
             for kind in self.KINDS
         }
+        # Patch bases: (kind, key) -> (version, artifact) for the
+        # head's bag tables and forests a delta invalidated, and
+        # version -> (effective delta, database) for every version a
+        # base still needs to be stepped through (see take_base).
+        self._bases: dict[tuple, tuple[int, object]] = {}
+        self._steps: dict[int, tuple] = {}
         self._encoded = False
         self.ensure_encoded()
 
@@ -568,7 +577,10 @@ class ArtifactStore:
         they are kept under the old version while that version has
         open views (``artifacts_retained``), dropped otherwise.  The
         old database itself is retained in the MVCC snapshot plane.
-        Returns the new database version.
+        When the engine can patch, the invalidated bag tables and
+        forests are also kept as patch bases, next to the delta, for
+        the next read to consume (:meth:`take_base`) — references
+        only, no work.  Returns the new database version.
 
         An empty — or *effectively* empty, e.g. deleting absent rows —
         delta is a no-op: the current version comes back unbumped,
@@ -612,6 +624,9 @@ class ArtifactStore:
                 self.stats.rows_encoded += rows_encoded
                 keep_old = self.snapshots.refs(old) > 0
                 evicted = set(self.snapshots.record(new, new_database))
+                patchable = (
+                    self.PATCHABLE if self.engine.patches_artifacts else ()
+                )
                 for kind in self.KINDS:
                     cache = self._caches[kind]
                     for vkey in cache.keys():
@@ -634,6 +649,10 @@ class ArtifactStore:
                             deps is not DEPENDS_ON_ALL
                             and not (deps & touched)
                         )
+                        if not survives and kind in patchable:
+                            self._bases[(kind, key)] = (
+                                old, cache.peek(vkey),
+                            )
                         if survives:
                             value, cost = cache.pop(vkey)
                             self._deps.pop((kind, version, key), None)
@@ -650,7 +669,49 @@ class ArtifactStore:
                             cache.pop(vkey)
                             self._deps.pop((kind, version, key), None)
                             self.stats.artifacts_invalidated += 1
+                if patchable:
+                    self._steps[new] = (delta, new_database)
+                self._prune_bases()
             return new
+
+    def _prune_bases(self) -> None:
+        # Registry lock held by the caller.  A base lives while its
+        # version is inside the snapshot window; the steps live while
+        # some base still needs them.
+        horizon = self._db_version - self.snapshots.retain
+        self._bases = {
+            slot: base
+            for slot, base in self._bases.items()
+            if base[0] > horizon
+        }
+        floor = min(
+            (version for version, _ in self._bases.values()),
+            default=self._db_version,
+        )
+        self._steps = {
+            version: step
+            for version, step in self._steps.items()
+            if version > floor
+        }
+
+    def take_base(self, kind: str, key, version: int):
+        """Consume the patch base for ``(kind, key)``: ``(artifact,
+        steps)`` with ``steps`` the ``(delta, database)`` pairs leading
+        from the base's version to ``version``, or ``None`` (build from
+        scratch).  A base is taken at most once, so at most one
+        generation of old artifacts is kept for patching."""
+        with self._registry_lock:
+            base = self._bases.get((kind, key))
+            if base is None or base[0] >= version:
+                return None
+            del self._bases[(kind, key)]
+            steps = [
+                self._steps.get(v) for v in range(base[0] + 1, version + 1)
+            ]
+            self._prune_bases()
+        if any(step is None for step in steps):
+            return None
+        return base[1], steps
 
     # -- observability / lifecycle -----------------------------------------
 
@@ -678,6 +739,8 @@ class ArtifactStore:
             for cache in self._caches.values():
                 cache.clear()
             self._deps.clear()
+            self._bases.clear()
+            self._steps.clear()
             # Held locks are kept, like the prune path: an in-flight
             # builder must stay the only builder for its key.
             self._build_locks = {

@@ -56,7 +56,16 @@ class SessionStats:
 
     ``bag_materializations`` / ``forest_builds`` count *work done*, not
     lookups: a request served entirely from cache leaves both untouched
-    — the property the acceptance tests pin down.
+    — the property the acceptance tests pin down.  They count bag
+    relations and bag indexes built **from scratch**.  The first read
+    after a write can instead derive them from the previous version's
+    (numpy engine, code-stable delta): ``bag_patches`` counts bag
+    relations moved forward by the delta rule — every bag reading a
+    touched relation — and ``forest_patches`` bag indexes patched in
+    place of a build.  A bag that reads no touched relation is shared
+    with the previous version and counts in neither; a patch that falls
+    back (renumbering delta, python engine, object-dtype weights, a
+    missing base) counts in the from-scratch pair.
 
     Instances are mutated only under the owning session's ``RLock``;
     :meth:`snapshot` (taken through
@@ -71,6 +80,8 @@ class SessionStats:
     decompositions: CacheStats = field(default_factory=CacheStats)
     bag_materializations: int = 0
     forest_builds: int = 0
+    bag_patches: int = 0
+    forest_patches: int = 0
     requests: int = 0
     advisor_calls: int = 0
     cache_preferred_orders: int = 0
@@ -82,6 +93,8 @@ class SessionStats:
             "cache_preferred_orders": self.cache_preferred_orders,
             "bag_materializations": self.bag_materializations,
             "forest_builds": self.forest_builds,
+            "bag_patches": self.bag_patches,
+            "forest_patches": self.forest_patches,
             "preprocessing": self.preprocessing.as_dict(),
             "forest": self.forest.as_dict(),
             "access": self.access.as_dict(),

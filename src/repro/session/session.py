@@ -381,10 +381,16 @@ class AccessSession:
                 preprocessing = Preprocessing(
                     query, order, database,
                     decomposition=decomposition,
+                    patch_from=self.store.take_base(
+                        "preprocessing", preprocessing_key, version
+                    ),
                 )
                 with self._lock:
                     self.stats.bag_materializations += (
                         preprocessing.materialized_bag_count
+                    )
+                    self.stats.bag_patches += (
+                        preprocessing.patched_bag_count
                     )
                 return preprocessing.bag_tables()
 
@@ -407,12 +413,15 @@ class AccessSession:
             )
 
             def build_forest():
+                base = self.store.take_base("forest", forest_key, version)
                 access = DirectAccess(
                     query, order, database, projected,
                     preprocessing=preprocessing,
+                    base_forest=None if base is None else base[0],
                 )
                 with self._lock:
-                    self.stats.forest_builds += len(access.forest)
+                    self.stats.forest_builds += access.built_bag_count
+                    self.stats.forest_patches += access.patched_bag_count
                 return access.forest
 
             forest = self.store.get_or_build(

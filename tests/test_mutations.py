@@ -523,6 +523,269 @@ class TestRowsEncodedTripwire:
         assert store.database["R"]._sorted is None  # never materialised
 
 
+# (name, query, order, projected): the shapes the forest patch must
+# handle, from the ι = 1 star to the ι = 3/2 triangle and the ι = 2
+# bad-order star, with self-joins and a projected suffix.
+STAR = "Q(x, y, z) :- R(x, y), S(x, z)"
+XYZ = ["x", "y", "z"]
+PATCH_CASES = {
+    "star": (STAR, XYZ, ()),
+    "path": (PATH, XYZ, ()),
+    "self-join": ("Q(x, y, z) :- R(x, y), R(y, z)", XYZ, ()),
+    "same-scope": ("Q(x, y) :- R(x, y), S(x, y), R(y, x)", ["x", "y"], ()),
+    "projected": (PATH, XYZ, ("z",)),
+    "triangle": ("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)", XYZ, ()),
+    # The centre comes last: ι = 2.
+    "bad-star": ("Q(x1, x2, z) :- R(x1, z), S(x2, z)", ["x1", "x2", "z"], ()),
+}
+
+
+def patch_case(name):
+    query, order, projected = PATCH_CASES[name]
+    return parse_query(query), order, frozenset(projected)
+
+
+def freeze_access(access):
+    """Copies of everything a later patch must leave as it was: each
+    bag table's rows (codes under numpy), each bag index's arrays,
+    totals and decoded groups."""
+    tables = {}
+    for item in access.preprocessing.bags:
+        ct = item.table._columnar
+        tables[item.bag.variable] = (
+            item.table,
+            frozenset(item.table.rows) if ct is None else ct.codes.copy(),
+        )
+    indexes = {}
+    for variable, index in access.forest.indexes.items():
+        aux = index.aux
+        indexes[variable] = (
+            index,
+            dict(index.totals),
+            {
+                key: tuple(list(part) for part in group)
+                for key, group in dict(index.groups).items()
+            },
+            None if aux is None else aux_arrays(aux),
+        )
+    return tables, indexes
+
+
+def aux_arrays(aux):
+    return [
+        getattr(aux, name).copy()
+        for name in (
+            "group_codes", "offsets", "values_flat", "weights_flat",
+            "cum_before", "totals",
+        )
+    ]
+
+
+def assert_arrays_equal(left, right, label):
+    import numpy as np
+
+    for a, b in zip(left, right):
+        assert a.dtype == b.dtype and a.shape == b.shape, label
+        assert np.array_equal(a, b), label
+
+
+def assert_frozen(frozen):
+    tables, indexes = frozen
+    for variable, (table, rows) in tables.items():
+        ct = table._columnar
+        if ct is None:
+            assert frozenset(table.rows) == rows, variable
+        else:
+            assert_arrays_equal([ct.codes], [rows], variable)
+    for variable, (index, totals, groups, arrays) in indexes.items():
+        assert index.totals == totals, variable
+        for key, group in groups.items():
+            assert tuple(dict(index.groups)[key]) == group, variable
+        if arrays is not None:
+            assert_arrays_equal(aux_arrays(index.aux), arrays, variable)
+
+
+def assert_equals_rebuild(access, engine, database):
+    """The served structure is what a from-scratch build at its
+    version gives: the same table rows (the same sorted code matrix
+    under numpy) and the same bag-index arrays and totals."""
+    from repro.core.access import DirectAccess
+
+    with repro.use_engine(engine):
+        rebuilt = DirectAccess(
+            access.query, access.order, database, access.projected
+        )
+    for served, fresh in zip(
+        access.preprocessing.bags, rebuilt.preprocessing.bags
+    ):
+        variable = served.bag.variable
+        mine, theirs = served.table._columnar, fresh.table._columnar
+        if mine is None or theirs is None:
+            assert served.table.rows == fresh.table.rows, variable
+        else:
+            assert mine.dictionary is theirs.dictionary, variable
+            assert_arrays_equal([mine.codes], [theirs.codes], variable)
+        index = access.forest.indexes[variable]
+        expected = rebuilt.forest.indexes[variable]
+        assert index.totals == expected.totals, variable
+        if expected.aux is None:
+            assert index.groups == expected.groups, variable
+        else:
+            assert index.aux.dictionary is expected.aux.dictionary
+            assert_arrays_equal(
+                aux_arrays(index.aux), aux_arrays(expected.aux), variable
+            )
+    assert len(access) == len(rebuilt)
+    assert iter_rows(access) == iter_rows(rebuilt)
+
+
+def _evens(rng, max_value):
+    return 2 * rng.randint(0, max_value // 2)
+
+
+class TestPatchEqualsRebuild:
+    """The first read after a write derives its bag tables and forest
+    from the previous version's under numpy (the python engine
+    rebuilds); the law is that nobody can tell.  After every read the
+    served tables and bag-index arrays are ``array_equal`` to a
+    from-scratch build at that version, the previous version's arrays,
+    dicts and pinned view are as they were, and ``clear()`` makes the
+    next read a cold build."""
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    @pytest.mark.parametrize("case", sorted(PATCH_CASES))
+    def test_delta_streams(self, case, engine):
+        query, order, projected = patch_case(case)
+        rng = random.Random(f"patch:{case}")
+        relations = {
+            name: {
+                tuple(_evens(rng, 16) for _ in range(query.arity_of(name)))
+                for _ in range(24)
+            }
+            for name in query.relation_symbols
+        }
+        conn = connect(relations, engine=engine)
+        view = conn.prepare(query, order=order, projected=projected)
+        pinned = (view, list(view), freeze_access(view._access))
+        paths, patched = set(), 0
+        for cycle in range(18):
+            # One, two or three applies land before the read.  Values
+            # past the maximum keep codes stable, odd ones renumber.
+            for _ in range(cycle % 3 + 1):
+                top = 16 + 4 * cycle
+                draw = uniform_draw if cycle % 4 == 3 else _evens
+                database = conn.database
+                conn.apply(random_delta(rng, database, top, draw))
+                paths.add(conn.stats()["store"]["full_reencodes"])
+            before = conn.stats()
+            view = conn.prepare(query, order=order, projected=projected)
+            after = conn.stats()
+            assert_equals_rebuild(view._access, engine, conn.database)
+            old_view, rows, frozen = pinned
+            assert list(old_view) == rows
+            assert_frozen(frozen)
+            moved = {
+                key: after[key] - before[key]
+                for key in (
+                    "bag_materializations", "forest_builds",
+                    "bag_patches", "forest_patches",
+                )
+            }
+            bags = len(view._access.preprocessing.bags)
+            assert moved["bag_materializations"] in (0, bags), moved
+            assert moved["bag_patches"] <= bags, moved
+            if moved["bag_materializations"]:
+                assert moved["bag_patches"] == 0, moved
+            patched += moved["bag_patches"]
+            old_view.close()
+            pinned = (view, list(view), freeze_access(view._access))
+        if engine == "numpy":
+            assert patched > 0, "no read was patched"
+            assert len(paths) > 1, "stream missed the renumbering path"
+        else:
+            assert patched == 0
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_deletes_empty_groups_and_drop_root_candidates(self, engine):
+        query, order, projected = patch_case("star")
+        conn = connect(
+            {
+                "R": {(1, 10), (1, 12), (2, 10), (3, 14)},
+                "S": {(1, 20), (2, 22), (3, 24), (3, 26)},
+            },
+            engine=engine,
+        )
+        conn.prepare(query, order=order)
+        for delta in (
+            Delta(deletes={"R": {(2, 10)}}),  # empties group 2, drops x=2
+            Delta(deletes={"S": {(3, 24), (3, 26)}}),  # drops root x=3
+            Delta(inserts={"R": {(2, 30)}, "S": {(2, 32)}}),  # x=2 back
+            Delta(deletes={"R": {(1, 10), (1, 12), (2, 10), (2, 30)}}),
+        ):
+            conn.apply(delta)
+            view = conn.prepare(query, order=order)
+            assert_equals_rebuild(view._access, engine, conn.database)
+        assert len(view) == 0
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_clear_before_the_read_makes_it_cold(self, engine):
+        query, order, _ = patch_case("star")
+        conn = connect(
+            {"R": {(1, 2), (3, 4)}, "S": {(1, 6), (3, 8)}}, engine=engine
+        )
+        conn.prepare(query, order=order)
+        conn.apply(Delta(inserts={"R": {(1, 10)}}))
+        conn.clear_cache()
+        before = conn.stats()
+        view = conn.prepare(query, order=order)
+        after = conn.stats()
+        assert after["bag_patches"] == before["bag_patches"]
+        assert after["forest_patches"] == before["forest_patches"]
+        assert after["bag_materializations"] - before[
+            "bag_materializations"
+        ] == 3
+        assert after["forest_builds"] - before["forest_builds"] == 3
+        assert_equals_rebuild(view._access, engine, conn.database)
+
+
+@needs_numpy
+class TestFreshReadTripwire:
+    """The read after a code-stable one-row insert is pinned by counts,
+    not a stopwatch: no bag relation or bag index is built from
+    scratch, and exactly the bags reading ``R`` (the root ``x`` and
+    ``y``) are patched, whatever ``|R|``."""
+
+    @pytest.mark.parametrize("rows", [10**3, 10**4, 10**5])
+    def test_one_row_insert_patches_the_touched_bags(self, rows):
+        keys = max(rows // 10, 1)
+        conn = connect(
+            {
+                "R": {(i % keys, 2 * i) for i in range(rows)},
+                "S": {(i % keys, 2 * i + 1) for i in range(rows)},
+            },
+            engine="numpy",
+        )
+        order = ["x", "y", "z"]
+        old = conn.prepare(STAR, order=order)
+        old[0]
+        conn.apply(Delta(inserts={"R": {(0, 4 * rows)}}))  # past the max
+        assert conn.stats()["store"]["incremental_encodes"] == 1
+        before = conn.stats()
+        fresh = conn.prepare(STAR, order=order)
+        fresh[0]
+        after = conn.stats()
+        assert after["bag_materializations"] == before["bag_materializations"]
+        assert after["forest_builds"] == before["forest_builds"]
+        assert after["bag_patches"] - before["bag_patches"] == 2
+        assert after["forest_patches"] - before["forest_patches"] == 2
+        assert len(fresh) == len(old) + rows // keys
+        # z reads only S: its table and index are the old ones.
+        assert (
+            fresh._access.forest.indexes["z"]
+            is old._access.forest.indexes["z"]
+        )
+
+
 class TestVersionedStore:
     def test_apply_bumps_version_and_counts(self):
         store = ArtifactStore(fresh_database())

@@ -388,6 +388,8 @@ class TestSessionMechanics:
             "cache_preferred_orders",
             "bag_materializations",
             "forest_builds",
+            "bag_patches",
+            "forest_patches",
             "preprocessing",
             "forest",
             "access",
