@@ -22,7 +22,6 @@ from repro.session.artifacts import ArtifactStore, StoreStats
 from repro.session.cache import (
     CacheStats,
     CostAwareCache,
-    LRUCache,
     SessionStats,
 )
 from repro.session.mvcc import DEFAULT_RETAIN, SnapshotPlane
@@ -39,7 +38,6 @@ __all__ = [
     "CacheStats",
     "CostAwareCache",
     "DEFAULT_RETAIN",
-    "LRUCache",
     "PROTOCOL_VERSION",
     "SessionRequest",
     "SessionResponse",

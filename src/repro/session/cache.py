@@ -11,16 +11,15 @@ without limit):
 * assembled :class:`~repro.core.access.DirectAccess` structures, keyed
   by the exact (query, order, projected) request.
 
-Two cache flavours live here.  :class:`LRUCache` is the plain
-recency-evicting map.  :class:`CostAwareCache` is what the shared
-:class:`~repro.session.artifacts.ArtifactStore` uses for preprocessing
-artifacts: each entry carries its *rebuild cost* — the decomposition
-exponent ``ι`` of Theorem 44, known exactly before any data is touched
-— and eviction sacrifices the cheapest-to-rebuild entry first (recency
-only breaks ties).  Evicting an ``O(|D|^2)`` counting forest to keep
-three ``O(|D|)`` ones is how a plain LRU thrashes a serving workload;
-the exponent is a better oracle than recency because the paper makes it
-a *certainty*, not a heuristic.
+:class:`CostAwareCache` is the one cache: the shared
+:class:`~repro.session.artifacts.ArtifactStore` keeps its preprocessing
+artifacts in it.  Each entry carries its *rebuild cost* — the
+decomposition exponent ``ι`` of Theorem 44, known exactly before any
+data is touched — and eviction sacrifices the cheapest-to-rebuild
+entry first (recency only breaks ties).  Evicting an ``O(|D|^2)``
+counting forest to keep three ``O(|D|)`` ones is how a plain LRU
+thrashes a serving workload; the exponent is a better oracle than
+recency because the paper makes it a *certainty*, not a heuristic.
 
 :class:`CacheStats` counts hits/misses/evictions per cache plus the
 tuple-level work actually performed (bag materializations, forest
@@ -101,55 +100,6 @@ class SessionStats:
             "plans": self.plans.as_dict(),
             "decompositions": self.decompositions.as_dict(),
         }
-
-
-class LRUCache:
-    """A minimal ordered-dict LRU with externally-owned stats.
-
-    ``get`` refreshes recency; ``put`` evicts the least recently used
-    entry beyond ``capacity``.  ``capacity=None`` means unbounded (used
-    by tests); ``capacity=0`` disables caching entirely.
-    """
-
-    def __init__(self, capacity: int | None, stats: CacheStats):
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"negative cache capacity {capacity}")  # repro: noqa[EXC-TAXONOMY] -- constructor contract; callers validate config at startup
-        self.capacity = capacity
-        self.stats = stats
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        """Membership *without* touching recency or hit/miss counters
-        (used by the cache-aware planner to peek at warm orders)."""
-        return key in self._entries
-
-    def get(self, key):
-        """The cached value, or ``None`` on a miss (values are never
-        ``None``: every artifact is a dict or structure)."""
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.capacity is not None:
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class CostAwareCache:

@@ -20,7 +20,6 @@ from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.data.columnar import numpy_available
 from repro.engine import available_engines
 from repro.errors import OrderError
-from repro.session.cache import CacheStats, LRUCache
 from tests.conftest import (
     lex_answers,
     make_session,
@@ -407,10 +406,6 @@ class TestSessionMechanics:
             session = make_session(database, engine=engine)
             access = session.access(query, order=["x", "y"])
             assert access.engine_name == engine
-
-    def test_lru_rejects_negative_capacity(self):
-        with pytest.raises(ValueError):
-            LRUCache(-1, CacheStats())
 
 
 class TestEncodedDatabase:
