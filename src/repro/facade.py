@@ -221,6 +221,22 @@ class Connection:
             access, session=self._session, version=version
         )
 
+    def _read(
+        self, query, order=None, prefix=None, at_version=None
+    ) -> "AnswerView":
+        """An unpinned view for one protocol request.
+
+        It reads the resolved structure, which is immutable, for the
+        length of the request, so it takes no snapshot pin and no
+        finalizer; ``at_version`` (default: the head) is served
+        exactly, as in :meth:`prepare`.
+        """
+        self._check_open()
+        access, version = self._session.access_versioned(
+            query, order=order, prefix=prefix, at_version=at_version
+        )
+        return AnswerView(access, version=version)
+
     def plan(self, query, prefix=None) -> OrderReport:
         """The order :meth:`prepare` would serve ``query`` with."""
         self._check_open()

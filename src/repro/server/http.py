@@ -58,6 +58,8 @@ Start one from Python (or ``repro serve`` from a shell)::
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -568,6 +570,57 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, body)
 
 
+class _WakeableHTTPServer(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` that sleeps until there is work.
+
+    The stdlib loop polls for shutdown every 0.5 s, so each
+    ``shutdown()`` waits out part of a poll.  This loop blocks in
+    ``select`` with no timeout on the listening socket and on one end
+    of a socket pair; ``shutdown()`` writes a byte to the other end,
+    so the loop wakes at once.  The wake byte never reaches HTTP.
+    """
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._wake_in, self._wake_out = socket.socketpair()
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:  # type: ignore[override]
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_in, selectors.EVENT_READ)
+                while not self._stopping:
+                    ready = selector.select()
+                    if self._stopping:
+                        break
+                    for key, _events in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._wake_in.recv(64)  # a stale wake
+                    self.service_actions()
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stopping = True
+        try:
+            self._wake_out.send(b"\0")
+        except OSError:
+            pass  # closed by server_close(): the loop is already gone
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_in.close()
+        self._wake_out.close()
+
+
 class ReproServer:
     """A threaded HTTP server for one database.
 
@@ -644,8 +697,7 @@ class ReproServer:
         self.verbose = verbose
         self.counters = _ServerCounters()
         self.request_timeout = request_timeout
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _WakeableHTTPServer((host, port), _Handler)
         self._httpd.repro_server = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 

@@ -56,6 +56,17 @@ when its last view closes or the version leaves the window
 (``artifacts_gcd``).  :class:`~repro.errors.StaleViewError` survives
 only as the fallback for reads of an *evicted* snapshot.
 
+Next to the ``access`` cache sits the **request map**
+(:meth:`ArtifactStore.lookup` / :meth:`ArtifactStore.remember`): what a
+read names — query text, order, prefix, projected set, exactly as sent
+— at the version it is served at, mapped to the key of the
+``DirectAccess`` it resolved to.  A warm read is one lookup: no parse,
+no plan, no key derivation.  An entry lives exactly as long as its
+artifact is resident at that version (eviction, ``apply``
+invalidation, snapshot GC and :meth:`ArtifactStore.clear` drop it; a
+carried artifact takes it along), and an artifact keeps one entry, so
+the map needs no capacity of its own.
+
 With a :class:`~repro.data.wal.WriteAheadLog` attached (``wal=``),
 every effective delta is appended — checksummed and fsynced — *before*
 the in-memory apply, so a crash between append and apply is repaired
@@ -194,6 +205,54 @@ class StoreStats:
         }
 
 
+class _RequestMap:
+    """What a read names, at a version → the key of the ``access``
+    artifact it resolved to, and back.
+
+    The way back lets an artifact that leaves the cache take its entry
+    along.  An artifact keeps one entry (the newest), so the map never
+    outgrows the ``access`` cache.  It holds no reference to the store,
+    so the cache's eviction hook creates no reference cycle.  Not
+    locked: the store calls it under its registry lock.
+    """
+
+    def __init__(self) -> None:
+        self._keys: dict[tuple, object] = {}  # (version, request) -> key
+        self._requests: dict[tuple, object] = {}  # (version, key) -> request
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def get(self, version: int, request):
+        return self._keys.get((version, request))
+
+    def remember(self, version: int, request, key) -> None:
+        self.forget((version, key))
+        previous = self._keys.get((version, request))
+        if previous is not None:
+            del self._requests[(version, previous)]
+        self._keys[(version, request)] = key
+        self._requests[(version, key)] = request
+
+    def forget(self, vkey: tuple) -> None:
+        """The artifact at ``vkey`` = ``(version, key)`` is leaving."""
+        request = self._requests.pop(vkey, None)
+        if request is not None:
+            del self._keys[(vkey[0], request)]
+
+    def carry(self, vkey: tuple, version: int) -> None:
+        """The artifact at ``vkey`` moves to ``version``; so does its
+        entry."""
+        request = self._requests.get(vkey)
+        if request is not None:
+            self.forget(vkey)
+            self.remember(version, request, vkey[1])
+
+    def clear(self) -> None:
+        self._keys.clear()
+        self._requests.clear()
+
+
 class ArtifactStore:
     """Shared, read-only-once-built artifacts for one database.
 
@@ -270,8 +329,13 @@ class ArtifactStore:
         # *thread*, not per nesting level, so the peak really means
         # "this many workers were building at the same instant".
         self._build_depth = threading.local()
+        self._requests = _RequestMap()
         self._caches = {
-            kind: CostAwareCache(capacity, self.stats.of(kind))
+            kind: CostAwareCache(
+                capacity,
+                self.stats.of(kind),
+                on_evict=self._requests.forget if kind == "access" else None,
+            )
             for kind in self.KINDS
         }
         # Patch bases: (kind, key) -> (version, artifact) for the
@@ -365,12 +429,53 @@ class ArtifactStore:
         # Registry lock held by the caller: drop every artifact cached
         # under a no-longer-retained version.
         for kind in self.KINDS:
-            cache = self._caches[kind]
-            for vkey in cache.keys():
+            for vkey in self._caches[kind].keys():
                 if vkey[0] in versions:
-                    cache.pop(vkey)
-                    self._deps.pop((kind, vkey[0], vkey[1]), None)
+                    self._drop(kind, vkey)
                     self.stats.artifacts_gcd += 1
+
+    def _drop(self, kind: str, vkey: tuple):
+        # Registry lock held by the caller: remove one artifact with
+        # its dependency record and any request resolved to it.
+        self._deps.pop((kind, vkey[0], vkey[1]), None)
+        if kind == "access":
+            self._requests.forget(vkey)
+        return self._caches[kind].pop(vkey)
+
+    # -- the request map ---------------------------------------------------
+
+    def lookup(self, version: int, request, extra: CacheStats | None = None):
+        """The ``access`` artifact ``request`` resolved to at
+        ``version``, or ``None`` when that key is cold.
+
+        ``request`` is what a read names — (query, order, prefix,
+        projected) as given — so a warm read skips parsing, planning
+        and key derivation.  A hit counts as an ``access`` hit (store
+        aggregate and ``extra``); a miss counts nothing, because the
+        caller's cold path does its own counted lookup.
+        """
+        self._drain_releases()
+        with self._registry_lock:
+            key = self._requests.get(version, request)
+            if key is None:
+                return None
+            return self._caches["access"].get((version, key), extra)
+
+    def remember(self, version: int, request, key) -> None:
+        """Map ``request`` at ``version`` to the resident ``access``
+        artifact ``key``.  An artifact keeps one request (the newest),
+        so the map never holds more entries than the store holds
+        ``access`` artifacts; a non-resident artifact (caching off,
+        already evicted or invalidated) is not mapped."""
+        with self._registry_lock:
+            if (version, key) in self._caches["access"]:
+                self._requests.remember(version, request, key)
+
+    def request_count(self) -> int:
+        """How many requests the map currently resolves (at most the
+        number of resident ``access`` artifacts)."""
+        with self._registry_lock:
+            return len(self._requests)
 
     # -- sessions ----------------------------------------------------------
 
@@ -636,10 +741,7 @@ class ArtifactStore:
                             # keep serving its pinned views, unless
                             # the window just evicted the version.
                             if version in evicted:
-                                cache.pop(vkey)
-                                self._deps.pop(
-                                    (kind, version, key), None
-                                )
+                                self._drop(kind, vkey)
                                 self.stats.artifacts_gcd += 1
                             continue
                         deps = self._deps.get(
@@ -654,8 +756,9 @@ class ArtifactStore:
                                 old, cache.peek(vkey),
                             )
                         if survives:
-                            value, cost = cache.pop(vkey)
-                            self._deps.pop((kind, version, key), None)
+                            if kind == "access":
+                                self._requests.carry(vkey, new)
+                            value, cost = self._drop(kind, vkey)
                             cache.put((new, key), value, cost=cost)
                             self._deps[(kind, new, key)] = deps
                             self.stats.artifacts_carried += 1
@@ -666,8 +769,7 @@ class ArtifactStore:
                             self.stats.artifacts_invalidated += 1
                             self.stats.artifacts_retained += 1
                         else:
-                            cache.pop(vkey)
-                            self._deps.pop((kind, version, key), None)
+                            self._drop(kind, vkey)
                             self.stats.artifacts_invalidated += 1
                 if patchable:
                     self._steps[new] = (delta, new_database)
@@ -739,6 +841,7 @@ class ArtifactStore:
             for cache in self._caches.values():
                 cache.clear()
             self._deps.clear()
+            self._requests.clear()
             self._bases.clear()
             self._steps.clear()
             # Held locks are kept, like the prune path: an in-flight

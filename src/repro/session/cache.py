@@ -136,13 +136,21 @@ class CostAwareCache:
     behind its registry lock.
     """
 
-    def __init__(self, capacity: int | None, stats: CacheStats):
+    def __init__(
+        self, capacity: int | None, stats: CacheStats, on_evict=None
+    ):
         if capacity is not None and capacity < 0:
             raise ValueError(f"negative cache capacity {capacity}")  # repro: noqa[EXC-TAXONOMY] -- constructor contract; callers validate config at startup
         self.capacity = capacity
         self.stats = stats
+        # Called with each evicted key, so an owner keeping an index
+        # over the entries (the store's request map) can follow.
+        self._on_evict = on_evict
         self._entries: OrderedDict = OrderedDict()
-        self._credits: dict = {}
+        # The clock at each entry's last insert or hit; its credit is
+        # that plus its cost, summed only when choosing a victim so a
+        # hit stays a plain store.
+        self._touched: dict = {}
         self._costs: dict = {}
         self._clock = 0
 
@@ -170,7 +178,7 @@ class CostAwareCache:
         to the new database version.  ``KeyError`` when absent.
         """
         value = self._entries.pop(key)
-        self._credits.pop(key, None)
+        self._touched.pop(key, None)
         cost = self._costs.pop(key, 0)
         return value, cost
 
@@ -178,19 +186,20 @@ class CostAwareCache:
         """The cached value, or ``None`` on a miss (values are never
         ``None``); counts into the aggregate stats and, if given, the
         caller's ``extra`` stats."""
-        counters = (self.stats,) if extra is None else (self.stats, extra)
         try:
             value = self._entries[key]
         except KeyError:
-            for stats in counters:
-                stats.misses += 1
+            self.stats.misses += 1
+            if extra is not None:
+                extra.misses += 1
             return None
         self._entries.move_to_end(key)
         # A hit renews the entry's credit at the current clock: recently
         # useful entries stay ahead of the aging front.
-        self._credits[key] = self._clock + self._costs[key]
-        for stats in counters:
-            stats.hits += 1
+        self._touched[key] = self._clock
+        self.stats.hits += 1
+        if extra is not None:
+            extra.hits += 1
         return value
 
     def put(self, key, value, cost=0, extra: CacheStats | None = None) -> None:
@@ -199,25 +208,30 @@ class CostAwareCache:
         self._entries[key] = value
         self._entries.move_to_end(key)
         self._costs[key] = cost
-        self._credits[key] = self._clock + cost
+        self._touched[key] = self._clock
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
                 self._evict_one(extra)
 
+    def _credit(self, key):
+        return self._touched[key] + self._costs[key]
+
     def _evict_one(self, extra: CacheStats | None) -> None:
         # Victim: minimum credit; ties go to the least recently used
         # (OrderedDict iterates oldest first, so the first minimum wins).
-        victim = min(self._entries, key=self._credits.__getitem__)
-        self._clock = self._credits[victim]
+        victim = min(self._entries, key=self._credit)
+        self._clock = self._credit(victim)
         del self._entries[victim]
-        del self._credits[victim]
+        del self._touched[victim]
         del self._costs[victim]
         self.stats.evictions += 1
         if extra is not None:
             extra.evictions += 1
+        if self._on_evict is not None:
+            self._on_evict(victim)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._credits.clear()
+        self._touched.clear()
         self._costs.clear()
         self._clock = 0

@@ -167,8 +167,7 @@ class SessionRequest:
     def from_dict(cls, data) -> "SessionRequest":
         if not isinstance(data, dict):
             raise ProtocolError("request must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - _REQUEST_FIELDS
         if unknown:
             raise ProtocolError(
                 f"unknown request fields: {sorted(unknown)}"
@@ -284,6 +283,14 @@ class SessionRequest:
         return cls.from_dict(data)
 
 
+_REQUEST_FIELDS = frozenset(f.name for f in fields(SessionRequest))
+
+#: ``json.dumps(..., default=str)`` builds a new encoder per call; one
+#: shared encoder writes the same bytes.  ``default=str`` keeps exotic
+#: (non-JSON) constants printable instead of failing the response.
+_RESPONSE_ENCODER = json.JSONEncoder(default=str)
+
+
 @dataclass(frozen=True)
 class SessionResponse:
     """The answer to one :class:`SessionRequest`.
@@ -318,9 +325,7 @@ class SessionResponse:
         return out
 
     def to_json(self) -> str:
-        # default=str keeps exotic (non-JSON) constants printable
-        # instead of failing the whole response.
-        return json.dumps(self.to_dict(), default=str)
+        return _RESPONSE_ENCODER.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data) -> "SessionResponse":
@@ -455,23 +460,17 @@ def execute(
                     "iota": str(report.iota),
                 }
             )
-        # A db_version pin on a view op means "serve from that MVCC
-        # snapshot": while the version is retained the client gets
-        # exactly the answers its view was prepared over; once it is
-        # evicted, prepare raises the same structured StaleViewError a
-        # local stale view raises.
-        at_version = (
-            request.db_version
-            if op in VIEW_OPS
-            and request.db_version is not None
-            and request.db_version != connection.db_version
-            else None
-        )
-        view = connection.prepare(
+        # A db_version pin on a view op means "serve exactly that
+        # version" — the head or a retained MVCC snapshot, resolved in
+        # one step, so an apply landing mid-request cannot move the
+        # read to a newer version.  Once the version is evicted the
+        # read raises the same structured StaleViewError a local stale
+        # view raises.
+        view = connection._read(
             query,
             order=request.order,
             prefix=request.prefix,
-            at_version=at_version,
+            at_version=request.db_version,
         )
         served = {"order": list(view.order)}
         if view.db_version is not None:

@@ -299,13 +299,35 @@ class AccessSession:
         wire reads ride this; it raises
         :class:`~repro.errors.StaleViewError` when the snapshot was
         evicted.
+
+        A request the store has resolved before at the served version
+        is warm: one lookup in the store's request map (see
+        :meth:`~repro.session.artifacts.ArtifactStore.lookup`) returns
+        the structure without parsing, planning or building.  Only a
+        cold request runs the parser, the planner and the builds.
         """
+        # Normalized once: order and prefix may be lazy iterables.
+        if order is not None:
+            order = tuple(order)
+        if prefix is not None:
+            prefix = tuple(prefix)
+        projected = frozenset(projected)
+        request = (query, order, prefix, projected)
+        warm_version = (
+            self.store.db_version if at_version is None else at_version
+        )
+        access = self.store.lookup(
+            warm_version, request, self.stats.access
+        )
+        if access is not None:
+            with self._lock:
+                self.stats.requests += 1
+            return access, warm_version
         if isinstance(query, str):
             query = parse_query(query)
-        projected = frozenset(projected)
         decomposition: DisruptionFreeDecomposition | None = None
         if prefix is not None:
-            prefix = _as_order(prefix)  # normalize once: may be lazy
+            prefix = _as_order(prefix)
         if order is not None:
             order = _as_order(order)
             wanted = list(prefix) if prefix is not None else []
@@ -338,6 +360,7 @@ class AccessSession:
             version=version,
         )
         if access is not None:
+            self.store.remember(version, request, access_key)
             return access, version
         if decomposition is None:
             decomposition = self._decomposition_for(
@@ -357,6 +380,7 @@ class AccessSession:
             version=version,
             relations=relations,
         )
+        self.store.remember(version, request, access_key)
         return access, version
 
     def _build(

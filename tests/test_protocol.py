@@ -282,3 +282,67 @@ class TestExecutor:
             response = execute(conn, request, default_query=QUERY)
             parsed = SessionResponse.from_json(response.to_json())
             assert parsed.ok == response.ok
+
+
+class TestPinnedReadRace:
+    """A read carrying ``db_version`` is served at exactly that version,
+    even when an ``apply`` lands between the request's arrival and its
+    resolution."""
+
+    @staticmethod
+    def apply_before_resolving(conn, monkeypatch, rows):
+        """Make the next resolution run one ``insert`` on ``R`` first —
+        the interleaving a concurrent writer can produce."""
+        session = conn.session
+        resolve = session.access_versioned
+        fired = []
+
+        def interleaved(*args, **kwargs):
+            if not fired:
+                fired.append(conn.insert("R", rows))
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(session, "access_versioned", interleaved)
+        return fired
+
+    @pytest.mark.parametrize("op", ["access", "count", "page", "rank"])
+    def test_apply_mid_request_does_not_move_a_pinned_read(
+        self, conn, monkeypatch, op
+    ):
+        version = conn.db_version
+        request = SessionRequest(
+            op=op,
+            query=QUERY,
+            order=("x", "y", "z"),
+            indices=(0, -1),
+            page_number=0,
+            page_size=2,
+            answer=(1, 2, 7),
+            db_version=version,
+        )
+        # (0, 2) sorts first and joins S twice: index 0, the count,
+        # the first page and the rank of (1, 2, 7) all move at v + 1.
+        fired = self.apply_before_resolving(conn, monkeypatch, [(0, 2)])
+        response = execute(conn, request)
+        assert fired == [version + 1]  # the write really landed
+        assert response.ok, response.error
+        result = response.result
+        assert result["db_version"] == version
+        if op == "access":
+            assert result["answers"] == [list(ANSWERS[0]), list(ANSWERS[-1])]
+        elif op == "count":
+            assert result["count"] == len(ANSWERS)
+        elif op == "page":
+            assert result["answers"] == [list(row) for row in ANSWERS[:2]]
+        else:
+            assert result["rank"] == 0
+        # The head moved on: an unpinned read sees the insert.
+        head = execute(
+            conn,
+            SessionRequest(
+                op="access", query=QUERY, order=("x", "y", "z"),
+                indices=(0,),
+            ),
+        )
+        assert head.result["db_version"] == version + 1
+        assert head.result["answers"] == [[0, 2, 7]]

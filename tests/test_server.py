@@ -855,6 +855,37 @@ class TestOneWritePerReply:
         assert slice_s < 0.050
 
 
+class TestShutdownWakesTheLoop:
+    """``shutdown()`` wakes the serving loop instead of waiting out a
+    poll interval (the stdlib loop polls every 0.5 s)."""
+
+    def test_idle_start_shutdown_cycles_are_fast(self):
+        cycles = 20
+        start = time.perf_counter()
+        for _cycle in range(cycles):
+            with ReproServer(RELATIONS, workers=1) as running:
+                pass
+            counters = running.stats()["server"]
+            # The wake is not HTTP traffic.
+            assert counters["requests"] == 0
+            assert counters["http_errors"] == {}
+        elapsed = time.perf_counter() - start
+        assert elapsed < cycles * 0.5 / 5, elapsed
+
+    def test_shutdown_after_traffic_keeps_the_counters(self):
+        with ReproServer(RELATIONS, workers=1) as running:
+            status, body = post_op(
+                running, {"op": "count", "query": QUERY}
+            )
+            assert status == 200 and body["result"]["count"] == 5
+            start = time.perf_counter()
+        assert time.perf_counter() - start < 0.25
+        counters = running.stats()["server"]
+        assert counters["requests"] == 1
+        assert counters["http_errors"] == {}
+        running.shutdown()  # idempotent on a stopped server
+
+
 class TestWireShape:
     """The head is assembled by hand: pin the framing, the header set
     and the bodies it must keep."""

@@ -12,6 +12,7 @@ from repro import (
     EncodedDatabase,
     Relation,
     VariableOrder,
+    connect,
     parse_query,
     use_engine,
 )
@@ -20,6 +21,8 @@ from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.data.columnar import numpy_available
 from repro.engine import available_engines
 from repro.errors import OrderError
+from repro.session.protocol import SessionRequest, execute
+from repro.session.session import AccessSession
 from tests.conftest import (
     lex_answers,
     make_session,
@@ -406,6 +409,181 @@ class TestSessionMechanics:
             session = make_session(database, engine=engine)
             access = session.access(query, order=["x", "y"])
             assert access.engine_name == engine
+
+
+class TestWarmRequestPath:
+    """A warm protocol read is one lookup in the store's request map —
+    no parse, no plan, no build — and the map's entries live exactly
+    as long as the ``access`` artifacts they resolve to."""
+
+    QUERY = "Q(x, y, z) :- R(x, y), S(y, z)"
+    ORDER = ("x", "y", "z")
+    # Sorted by (x, y, z), before and after inserting R(0, 2).
+    ANSWERS = [(1, 2, 7), (1, 2, 9), (3, 2, 7), (3, 2, 9), (3, 4, 1)]
+    INSERTED = [(0, 2, 7), (0, 2, 9)] + ANSWERS
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Counts calls to the query parser and to the planner."""
+        import repro.session.session as session_module
+
+        counts = {"parse": 0, "plan": 0}
+        parse, plan = session_module.parse_query, AccessSession.plan
+
+        def counting_parse(*args, **kwargs):
+            counts["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def counting_plan(self, *args, **kwargs):
+            counts["plan"] += 1
+            return plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "parse_query", counting_parse)
+        monkeypatch.setattr(AccessSession, "plan", counting_plan)
+        return counts
+
+    @staticmethod
+    def connection(**kwargs):
+        return connect(
+            {
+                "R": {(1, 2), (3, 2), (3, 4)},
+                "S": {(2, 7), (2, 9), (4, 1)},
+                "T": {(5, 6)},
+            },
+            **kwargs,
+        )
+
+    def reads(self, order=ORDER, db_version=None):
+        """One access, one rank and one page request of the query."""
+        fields = dict(query=self.QUERY, order=order, db_version=db_version)
+        return [
+            SessionRequest(op="access", indices=(0, -1), **fields),
+            SessionRequest(op="rank", answer=(3, 4, 1), **fields),
+            SessionRequest(op="page", page_number=0, page_size=2, **fields),
+        ]
+
+    @staticmethod
+    def serve(conn, calls, request):
+        """The response's result and the parse/plan calls it made."""
+        before = dict(calls)
+        response = execute(conn, request)
+        assert response.ok, response.error
+        return response.result, {
+            name: calls[name] - before[name] for name in calls
+        }
+
+    @pytest.mark.parametrize("order", [ORDER, None])
+    def test_warm_reads_neither_parse_nor_plan(self, calls, order):
+        conn = self.connection()
+        stats = conn.session.stats
+        cold = self.reads(order)[0]
+        _, made = self.serve(conn, calls, cold)
+        assert made == {"parse": 1, "plan": 0 if order else 1}
+        hits = stats.access.hits
+        for _round in range(3):
+            for request in self.reads(order):
+                result, made = self.serve(conn, calls, request)
+                assert made == {"parse": 0, "plan": 0}, request.op
+        assert result["answers"] == [list(row) for row in self.ANSWERS[:2]]
+        # Every warm read still counts as a request and an access hit.
+        assert stats.requests == 1 + 9
+        assert stats.access.hits == hits + 9
+        # The facade's prepare shares the map.
+        before = dict(calls)
+        view = conn.prepare(self.QUERY, order=order)
+        assert calls == before
+        assert view[-1] == self.ANSWERS[-1]
+
+    @pytest.mark.parametrize("order", [ORDER, None])
+    def test_apply_makes_the_next_read_resolve_exactly_once(
+        self, calls, order
+    ):
+        conn = self.connection()
+        store = conn.session.store
+        for request in self.reads(order):
+            self.serve(conn, calls, request)
+        assert store.request_count() == 1
+        conn.insert("R", [(0, 2)])
+        # No view pins the old version: its entry died with its
+        # artifact.
+        assert store.request_count() == 0
+        result, made = self.serve(conn, calls, self.reads(order)[0])
+        assert made == {"parse": 1, "plan": 0 if order else 1}
+        assert result["answers"] == [
+            list(self.INSERTED[0]), list(self.INSERTED[-1])
+        ]
+        for request in self.reads(order):
+            _, made = self.serve(conn, calls, request)
+            assert made == {"parse": 0, "plan": 0}
+        assert store.request_count() == 1
+
+    def test_a_carried_artifact_keeps_its_entry(self, calls):
+        conn = self.connection()
+        carried = SessionRequest(
+            op="access", query="P(u, w) :- T(u, w)", order=("u", "w"),
+            indices=(0,),
+        )
+        self.serve(conn, calls, carried)
+        conn.insert("R", [(0, 2)])  # T is untouched
+        result, made = self.serve(conn, calls, carried)
+        assert made == {"parse": 0, "plan": 0}
+        assert result == {
+            "order": ["u", "w"], "db_version": 1, "indices": [0],
+            "answers": [[5, 6]],
+        }
+
+    def test_clear_cache_makes_the_next_read_cold(self, calls):
+        conn = self.connection()
+        request = self.reads()[0]
+        self.serve(conn, calls, request)
+        conn.clear_cache()
+        assert conn.session.store.request_count() == 0
+        _, made = self.serve(conn, calls, request)
+        assert made == {"parse": 1, "plan": 0}
+        _, made = self.serve(conn, calls, request)
+        assert made == {"parse": 0, "plan": 0}
+
+    def test_pinned_and_head_reads_never_share_an_entry(self, calls):
+        conn = self.connection()
+        view = conn.prepare(self.QUERY, order=self.ORDER)  # pins v0
+        conn.insert("R", [(0, 2)])
+        for _round in range(2):
+            pinned, _ = self.serve(
+                conn, calls, self.reads(db_version=0)[0]
+            )
+            head, _ = self.serve(conn, calls, self.reads()[0])
+            assert pinned["db_version"] == 0
+            assert pinned["answers"] == [
+                list(self.ANSWERS[0]), list(self.ANSWERS[-1])
+            ]
+            assert head["db_version"] == 1
+            assert head["answers"] == [
+                list(self.INSERTED[0]), list(self.INSERTED[-1])
+            ]
+        # Both are warm now, each under its own version.
+        assert conn.session.store.request_count() == 2
+        for request in self.reads(db_version=0) + self.reads():
+            _, made = self.serve(conn, calls, request)
+            assert made == {"parse": 0, "plan": 0}
+        view.close()
+
+    def test_distinct_query_texts_stay_bounded(self):
+        conn = self.connection(cache=16)
+        store = conn.session.store
+        # 500 spellings of one query, then 500 distinct queries: the
+        # map never holds more entries than resident access artifacts.
+        texts = [
+            "Q(x, y) :- R(x," + " " * spaces + "y)"
+            for spaces in range(500)
+        ] + [f"Q(a{i}, b{i}) :- R(a{i}, b{i})" for i in range(500)]
+        for text in texts:
+            response = execute(
+                conn, SessionRequest(op="count", query=text)
+            )
+            assert response.ok, response.error
+            assert response.result["count"] == 3
+            assert store.request_count() <= len(store.cache("access"))
+        assert len(store.cache("access")) <= 16
 
 
 class TestEncodedDatabase:
