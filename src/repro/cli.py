@@ -16,12 +16,12 @@ Commands:
   one :class:`~repro.session.SessionResponse` per output line, run
   through :func:`repro.session.protocol.execute` — the grammar
   ``repro serve`` speaks over HTTP.
-* ``serve`` — the same protocol over HTTP: ``--workers`` per-worker
-  sessions over one shared artifact store (``POST /v1/session``,
-  ``GET /healthz``, ``GET /stats``; spec in ``docs/protocol.md``),
-  behind either the threaded stdlib front or, with ``--async``, an
-  asyncio event loop multiplexing thousands of keep-alive connections
-  onto the same bounded worker queues.  ``--wal PATH`` makes serving
+* ``serve`` — the same protocol over HTTP: one session over one
+  artifact store, ``--workers`` requests at a time (``POST
+  /v1/session``, ``GET /healthz``, ``GET /stats``; spec in
+  ``docs/protocol.md``), behind either the threaded stdlib front or,
+  with ``--async``, an asyncio event loop multiplexing thousands of
+  keep-alive connections onto the same admission gate.  ``--wal PATH`` makes serving
   durable: every applied delta is logged before it runs, and a
   restarted server replays the log back to the pre-crash version.
   Query it with ``curl`` or from Python via
@@ -310,7 +310,6 @@ def cmd_serve(args) -> int:
             default_query=args.query,
             host=args.host,
             port=args.port,
-            stats_per_worker=args.stats_per_worker,
             verbose=args.verbose,
             read_only=args.read_only,
             queue_depth=args.queue_depth,
@@ -584,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the JSON session protocol over HTTP",
         description="Serve the versioned JSON session protocol "
         "(docs/protocol.md) at POST /v1/session, with GET /healthz "
-        "and GET /stats, using per-worker sessions over one shared "
-        "artifact store.",
+        "and GET /stats, from one session over one artifact store.",
     )
     serve.add_argument(
         "--relation",
@@ -611,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="per-worker session pool size (default 4)",
+        help="requests doing query work at once (default 4)",
     )
     serve.add_argument(
         "--capacity",
@@ -624,15 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
         dest="async_front",
         action="store_true",
         help="serve with the asyncio front: one event loop "
-        "multiplexes all connections onto the worker pool "
+        "multiplexes all connections onto the workers "
         "(same wire protocol)",
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=None,
-        help="bound on each worker's pending-request queue "
-        "(default 16); a full fleet answers 503 + Retry-After",
+        help="pending requests per worker (default 16); beyond "
+        "workers x queue-depth admitted, answers 503 + Retry-After",
     )
     serve.add_argument(
         "--max-connections",
@@ -667,12 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--read-only",
         action="store_true",
         help="refuse insert/delete/apply with a structured HTTP 403",
-    )
-    serve.add_argument(
-        "--stats-per-worker",
-        action="store_true",
-        help="include a (bounded) per-worker breakdown in GET /stats "
-        "next to the aggregated totals",
     )
     serve.add_argument(
         "--verbose",
@@ -728,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="worker pool size (default 2)",
+        help="requests doing query work at once (default 2)",
     )
     chaos.add_argument(
         "--quick",

@@ -71,11 +71,11 @@ class ReadOnlyError(ReproError):
 
 
 class OverloadedError(ReproError):
-    """Admission control refused a request: every worker queue is full.
+    """Admission control refused a request: the server is full.
 
-    Dispatch is depth-aware and *bounded* — each worker carries at most
-    ``queue_depth`` pending requests, so a burst beyond the fleet's
-    capacity is rejected immediately instead of piling up unboundedly.
+    Admission is *bounded* — at most ``workers × queue_depth``
+    requests are admitted at once, so a burst beyond that is rejected
+    immediately instead of piling up unboundedly.
     The server answers HTTP 503 with a ``Retry-After`` header carrying
     this error type; retrying after a short backoff is always safe
     (the request was never started).

@@ -59,7 +59,6 @@ def connect(
     *,
     engine=None,
     cache: int | None = 64,
-    cache_slack: Fraction | int | float = 0,
     timeout: float = 30.0,
     retain_versions: int | None = None,
 ):
@@ -93,9 +92,6 @@ def connect(
             only: a URL's engine was chosen by the server.)
         cache: per-artifact cache capacity of the connection's store
             (``None`` = unbounded, ``0`` = caching disabled).
-        cache_slack: how much preprocessing exponent the planner may
-            trade for a warm cache (see
-            :class:`~repro.session.AccessSession`).
         timeout: per-request socket timeout in seconds (URLs only).
         retain_versions: how many MVCC database snapshots the store
             keeps, so views prepared before a mutation keep serving
@@ -105,16 +101,10 @@ def connect(
     if isinstance(database, str):
         from repro.server.client import HTTPConnection
 
-        if (
-            engine is not None
-            or cache != 64
-            or cache_slack != 0
-            or retain_versions is not None
-        ):
+        if engine is not None or cache != 64 or retain_versions is not None:
             raise ReproError(
-                "engine/cache/cache_slack/retain_versions are "
-                "server-side settings; set them where `repro serve` "
-                "runs"
+                "engine/cache/retain_versions are server-side "
+                "settings; set them where `repro serve` runs"
             )
         return HTTPConnection(database, timeout=timeout)
     if engine is None:
@@ -127,7 +117,7 @@ def connect(
         capacity=cache,
         retain_versions=retain_versions,
     )
-    connection = Connection(store.session(cache_slack))
+    connection = Connection(store.session())
     connection._store = store
     return connection
 
@@ -152,9 +142,9 @@ class Connection:
     def __init__(self, session: AccessSession):
         self._session = session
         # The store this connection built and therefore clears —
-        # :func:`connect` sets it.  A per-worker connection attached to
-        # a shared store leaves it ``None``: it must not wipe its
-        # siblings' artifacts.
+        # :func:`connect` sets it.  A connection attached to a shared
+        # store (the server's) leaves it ``None``: it must not wipe
+        # artifacts it does not own.
         self._store: ArtifactStore | None = None
         self._closed = False
 

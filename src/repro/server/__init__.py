@@ -10,11 +10,12 @@ JSON session protocol at ``POST /v1/session`` plus ``GET /healthz`` and
 ``connect → prepare → view`` facade as a local process —
 ``repro.connect("http://host:port")`` just works.
 
-Workers are real: each serving thread checks a per-worker
-:class:`~repro.Connection` out of a pool, and all workers share one
+Every serving thread shares one :class:`~repro.Connection` over one
 :class:`~repro.session.ArtifactStore`, so the database is encoded once
-and two workers can preprocess *different* decompositions concurrently
-while racing workers build the *same* artifact exactly once.
+and two requests can preprocess *different* decompositions
+concurrently while racing requests build the *same* artifact exactly
+once.  One admission gate bounds the work: ``--workers`` requests run
+at once, on whichever run slot is free.
 
 One process serves: the counting forests, the shared store and the
 MVCC snapshots live once in the serving process, and ``--workers``
@@ -25,8 +26,8 @@ Both fronts wrap one transport-independent :class:`ServingCore`:
 the threaded :class:`ReproServer` and the asyncio
 :class:`AsyncReproServer` (``repro serve --async``,
 :mod:`repro.server.aio`), which multiplexes all connections onto one
-event loop and dispatches onto *bounded* per-worker queues — full
-fleet → structured HTTP 503 + ``Retry-After``
+event loop.  Both admit at most ``workers × queue_depth`` requests —
+beyond that a structured HTTP 503 + ``Retry-After``
 (:class:`~repro.errors.OverloadedError`).
 
 See ``docs/architecture.md`` for the layer map and
@@ -35,15 +36,12 @@ See ``docs/architecture.md`` for the layer map and
 
 from repro.server.aio import AsyncReproServer
 from repro.server.client import HTTPConnection, RemoteAnswerView
-from repro.server.http import ReproServer, ServingCore, serve
-from repro.server.pool import LocalDispatcher
+from repro.server.http import ReproServer, ServingCore
 
 __all__ = [
     "AsyncReproServer",
     "HTTPConnection",
-    "LocalDispatcher",
     "RemoteAnswerView",
     "ReproServer",
     "ServingCore",
-    "serve",
 ]

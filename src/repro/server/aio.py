@@ -9,7 +9,7 @@ HTTP/1.1 itself (keep-alive, pipelining-safe framing, per-read
 timeouts, a connection ceiling) and hands each decoded
 :class:`~repro.session.SessionRequest` to the same
 :class:`~repro.server.http.ServingCore` the threaded front wraps —
-same bounded depth-aware dispatch, same wire shapes.
+same admission gate, same wire shapes.
 Connections are cheap (a coroutine and a buffer, no thread), so
 thousands of keep-alive clients can sit open while at most
 ``workers × queue_depth`` requests are actually admitted; the gap
@@ -32,7 +32,7 @@ full → HTTP 503 + ``Retry-After`` (:class:`~repro.errors.
 OverloadedError`, as on the threaded front), and the connection
 ceiling → the same 503 before the request is even read.  Blocking
 query work never runs on the loop: ``core.execute`` is bridged onto a
-thread pool sized to the dispatch capacity, so the loop stays free to
+thread pool sized to the admission bound, so the loop stays free to
 accept, frame, and time out sockets.
 
 Start one from Python (or ``repro serve --async`` from a shell)::
@@ -112,11 +112,9 @@ class AsyncReproServer:
         engine=None,
         workers: int = 4,
         capacity: int | None = 64,
-        cache_slack=0,
         default_query=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        stats_per_worker: bool = False,
         verbose: bool = False,
         read_only: bool = False,
         queue_depth: int | None = None,
@@ -137,9 +135,7 @@ class AsyncReproServer:
             engine=engine,
             workers=workers,
             capacity=capacity,
-            cache_slack=cache_slack,
             default_query=default_query,
-            stats_per_worker=stats_per_worker,
             read_only=read_only,
             queue_depth=queue_depth,
             wal=wal,
@@ -155,10 +151,10 @@ class AsyncReproServer:
         self.connections_peak = 0
         self.ceiling_rejections = 0
         # Query work is synchronous (the core, the engines); it runs on
-        # this pool, sized to the dispatch bound — beyond it admission
+        # this pool, sized to the admission bound — beyond it admission
         # rejects anyway, so more threads would only queue twice.
         self._executor = ThreadPoolExecutor(
-            max_workers=min(self.core.dispatch_capacity, 128) + 4,
+            max_workers=min(self.core.gate.capacity, 128) + 4,
             thread_name_prefix="repro-aio",
         )
         self._requested = (host, port)
@@ -502,7 +498,7 @@ class AsyncReproServer:
         try:
             # Query work is blocking; off the loop it goes.  Admission
             # happens inside, so a full fleet rejects in microseconds
-            # and the executor never piles up past dispatch capacity.
+            # and the executor never piles up past the gate's capacity.
             response = await self._loop.run_in_executor(
                 self._executor, self.core.execute, request
             )
@@ -541,8 +537,7 @@ class AsyncReproServer:
         elif path == "/stats":
             import json
 
-            # Stats aggregation takes the store and dispatch locks:
-            # off the loop too.
+            # Stats take the store and gate locks: off the loop too.
             stats = await self._loop.run_in_executor(
                 self._executor, self.stats
             )

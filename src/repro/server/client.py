@@ -392,7 +392,7 @@ class HTTPConnection:
         return self._get_json("/healthz")
 
     def stats(self) -> dict:
-        """``GET /stats``: shared-store, per-worker, and wire counters."""
+        """``GET /stats``: shared-store, session, and wire counters."""
         return self._get_json("/stats")
 
     def close(self) -> None:

@@ -1,15 +1,15 @@
 """The serving core and its threaded HTTP transport.
 
-One server = one database, served by ``--workers`` per-worker
-:class:`~repro.Connection` objects over a shared
-:class:`~repro.session.ArtifactStore`.  The HTTP layer is deliberately
+One server = one database, served by one
+:class:`~repro.Connection` over one :class:`~repro.session.ArtifactStore`
+that every handler thread shares.  The HTTP layer is deliberately
 thin — stdlib :mod:`http.server` with threads, no framework — because
 the protocol work (parsing, validation, execution) already lives in
 :mod:`repro.session.protocol` and is transport-independent.
 
 The serving state itself is transport-independent too:
-:class:`ServingCore` owns the store, the per-worker connections,
-depth-aware dispatch, and the health/stats views.  Two fronts wrap
+:class:`ServingCore` owns the store, the shared connection, the
+admission gate, and the health/stats views.  Two fronts wrap
 one core — :class:`ReproServer` (threads, this module) and
 :class:`~repro.server.aio.AsyncReproServer` (``repro serve --async``,
 an asyncio event loop) — and answer byte-identical wire shapes.
@@ -23,21 +23,20 @@ Routes (full spec in ``docs/protocol.md``):
   with ``ok=false`` — the protocol's own error channel; *malformed*
   bodies (invalid JSON, unknown fields, newer protocol version) are
   HTTP 400 with the same structured shape, never a traceback.  When
-  every worker queue is full, admission fails fast: HTTP 503 with a
-  ``Retry-After`` header and ``error_type`` ``OverloadedError``.
+  ``workers × queue_depth`` requests are already admitted, admission
+  fails fast: HTTP 503 with a ``Retry-After`` header and
+  ``error_type`` ``OverloadedError``.
 * ``GET /healthz`` — liveness: package + protocol versions, engine,
   worker count and front.
 * ``GET /stats`` — the shared store's build/cache counters, the
-  transport's own op counters, dispatch-queue depths, and the worker
-  sessions' counters *aggregated into totals* (one dict however many
-  workers run; ``stats_per_worker=True`` / ``--stats-per-worker`` adds
-  a per-worker breakdown, capped at :data:`MAX_STATS_WORKERS`).
+  transport's own op counters, the admission gate's counters, and the
+  serving session's counters.
 
 Concurrency: :class:`http.server.ThreadingHTTPServer` spawns a thread
-per connection; each request is then admitted onto a *bounded*
-per-worker queue (:class:`~repro.server.pool.LocalDispatcher`), so
-``--workers`` caps concurrent query work and ``--queue-depth`` caps
-how much work may wait, regardless of open sockets.  Sockets carry a
+per connection; each request then passes one :class:`AdmissionGate`,
+so ``--workers`` caps concurrent query work and ``--queue-depth``
+caps how much work may wait, regardless of open sockets.  A request
+runs as soon as *any* run slot is free.  Sockets carry a
 read/write timeout (``request_timeout``), so a stalled client cannot
 pin a serving thread forever.  Artifact builds synchronize per
 artifact in the store — two clients asking for different
@@ -65,10 +64,9 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.data.database import Database
-from repro.errors import OverloadedError, ProtocolError, ReproError
+from repro.errors import OverloadedError, ProtocolError
 from repro.facade import Connection
 from repro.query.parser import parse_query
-from repro.server.pool import DEFAULT_QUEUE_DEPTH, LocalDispatcher
 from repro.session.artifacts import ArtifactStore
 from repro.session.protocol import (
     MUTATION_OPS,
@@ -85,11 +83,12 @@ SESSION_ROUTE = "/v1/session"
 #: so anything near this is a client bug, answered with HTTP 413.
 MAX_BODY_BYTES = 1 << 20
 
-#: Cap on the per-worker breakdown in ``GET /stats``: the response must
-#: stay O(1)-ish however large ``--workers`` is, so the opt-in
-#: breakdown lists at most this many workers (a ``truncated`` count
-#: reports the rest).
-MAX_STATS_WORKERS = 64
+#: Default pending requests per run slot.  Once ``workers ×
+#: queue_depth`` requests are admitted, admission fails with
+#: :class:`~repro.errors.OverloadedError` (HTTP 503 on the wire) —
+#: overload surfaces as immediate, retryable rejection instead of
+#: unbounded queueing.
+DEFAULT_QUEUE_DEPTH = 16
 
 #: Socket read/write timeout of the threaded front, seconds.  A client
 #: that stalls mid-body (or never drains its response) trips the
@@ -99,32 +98,6 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 #: The ``Retry-After`` value sent with every 503: overload is bursty
 #: by construction (bounded queues), so clients should retry shortly.
 RETRY_AFTER_SECONDS = 1
-
-
-def aggregate_counters(dicts) -> dict:
-    """Sum a list of (possibly nested) counter dicts key-by-key.
-
-    The worker sessions all share one stats shape
-    (:meth:`~repro.session.cache.SessionStats.as_dict`), so ``GET
-    /stats`` can report one totals dict instead of one dict per worker
-    — the response no longer grows with ``--workers``:
-
-        >>> aggregate_counters([{"a": 1, "b": {"c": 2}},
-        ...                     {"a": 3, "b": {"c": 4}}])
-        {'a': 4, 'b': {'c': 6}}
-    """
-    totals: dict = {}
-    for counters in dicts:
-        for key, value in counters.items():
-            if isinstance(value, dict):
-                merged = totals.setdefault(key, {})
-                for inner_key, inner_value in value.items():
-                    merged[inner_key] = (
-                        merged.get(inner_key, 0) + inner_value
-                    )
-            else:
-                totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 def error_body(
@@ -183,13 +156,70 @@ class _ServerCounters:
             }
 
 
+class AdmissionGate:
+    """Bounded admission in front of ``workers`` run slots.
+
+    :meth:`admit` never blocks: once ``workers × queue_depth`` requests
+    are admitted it raises :class:`~repro.errors.OverloadedError` (the
+    transport answers 503).  :meth:`acquire` waits for *any* free run
+    slot, so a request never queues behind one slow request while
+    another slot is idle.  :meth:`release` frees both.
+    """
+
+    def __init__(self, workers: int, queue_depth: int):
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
+        if queue_depth < 1:
+            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
+                f"need a queue depth of at least one, got {queue_depth}"
+            )
+        self.workers = workers
+        self.capacity = workers * queue_depth
+        self.admitted = 0
+        self.rejections = 0
+        self._lock = threading.Lock()
+        self._slots = threading.BoundedSemaphore(workers)
+
+    def admit(self) -> None:
+        """Count one request in, or raise
+        :class:`~repro.errors.OverloadedError` when the gate is full."""
+        with self._lock:
+            if self.admitted >= self.capacity:
+                self.rejections += 1
+                raise OverloadedError(
+                    f"{self.admitted} requests already admitted "
+                    f"({self.workers} run slots); retry shortly"
+                )
+            self.admitted += 1
+
+    def acquire(self) -> None:
+        """Wait for any free run slot."""
+        self._slots.acquire()
+
+    def release(self) -> None:
+        """Free the run slot and the admission of one request."""
+        self._slots.release()
+        with self._lock:
+            self.admitted -= 1
+
+    def counters(self) -> dict:
+        with self._lock:
+            return {
+                "workers": self.workers,
+                "queue_capacity": self.capacity,
+                "admitted": self.admitted,
+                "rejections": self.rejections,
+            }
+
+
 class ServingCore:
     """Transport-independent serving state behind every HTTP front.
 
-    Owns the shared :class:`~repro.session.ArtifactStore`, one
-    :class:`~repro.Connection` per worker, depth-aware bounded
-    dispatch, and the health/stats views.  The
-    threaded :class:`ReproServer` and the asyncio
+    Owns the :class:`~repro.session.ArtifactStore`, the one
+    :class:`~repro.Connection` every handler thread shares (the
+    resolved structures are immutable, so reads need no private
+    state), the :class:`AdmissionGate`, and the health/stats views.
+    The threaded :class:`ReproServer` and the asyncio
     :class:`~repro.server.aio.AsyncReproServer` each wrap one core and
     add only connection handling — which is why ``--async`` changes
     nothing on the wire.
@@ -199,19 +229,16 @@ class ServingCore:
             (or a plain mapping of relation names to tuple iterables).
         engine: execution engine for the shared store (name, instance,
             or ``None`` for the active engine's kind).
-        workers: size of the in-process ``Connection`` pool.
+        workers: how many requests do query work at once.
         capacity: per-kind artifact-cache capacity of the shared store.
-        cache_slack: cache-aware planning slack of worker sessions.
         default_query: a query (text or parsed) backing requests that
             carry none; ``None`` means every request must name its
             query.
-        stats_per_worker: include a bounded per-worker breakdown in
-            ``stats()``.
         read_only: refuse ``insert``/``delete``/``apply`` with
             :class:`~repro.errors.ReadOnlyError` (HTTP 403).
-        queue_depth: bound on each worker's pending-request queue
-            (``None`` → :data:`~repro.server.pool.DEFAULT_QUEUE_DEPTH`);
-            a fleet with every queue full rejects admission with
+        queue_depth: pending requests per run slot (``None`` →
+            :data:`DEFAULT_QUEUE_DEPTH`); with ``workers ×
+            queue_depth`` admitted, admission fails with
             :class:`~repro.errors.OverloadedError` (HTTP 503).
         wal: path of a :class:`~repro.data.wal.WriteAheadLog` — the
             log is replayed over ``database`` at boot (crash
@@ -228,26 +255,17 @@ class ServingCore:
         engine=None,
         workers: int = 4,
         capacity: int | None = 64,
-        cache_slack=0,
         default_query=None,
-        stats_per_worker: bool = False,
         read_only: bool = False,
         queue_depth: int | None = None,
         wal: str | None = None,
         retain_versions: int | None = None,
         chaos: str | None = None,
     ):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-        self.queue_depth = (
-            DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth
+        self.gate = AdmissionGate(
+            workers,
+            DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth,
         )
-        if self.queue_depth < 1:
-            raise ValueError(  # repro: noqa[EXC-TAXONOMY] -- startup config validation; cmd_serve reports and exits
-                f"need a queue depth of at least one, got "
-                f"{self.queue_depth}"
-            )
-        self.stats_per_worker = stats_per_worker
         # Arm fault injection for this process; close() disarms it.
         self.chaos = chaos
         if chaos is not None:
@@ -289,24 +307,12 @@ class ServingCore:
         self.default_query = default_query
         self.read_only = bool(read_only)
         self.workers = workers
-        self._connections = [
-            Connection(self.store.session(cache_slack))
-            for _ in range(workers)
-        ]
-        self._dispatcher = LocalDispatcher(
-            self._connections, max_queue_depth=self.queue_depth
-        )
-
-    @property
-    def dispatch_capacity(self) -> int:
-        """How many requests may be admitted at once fleet-wide (the
-        async front sizes its executor to this bound)."""
-        return self.workers * self.queue_depth
+        self.connection = Connection(self.store.session())
 
     # -- serving -----------------------------------------------------------
 
     def execute(self, request: SessionRequest) -> SessionResponse:
-        """Serve one protocol request on the shallowest worker.
+        """Serve one protocol request on the first free run slot.
 
         Raises :class:`~repro.errors.OverloadedError` when bounded
         admission refuses the request; the transport answers 503 with
@@ -321,23 +327,16 @@ class ServingCore:
                 error="server is read-only: mutations are disabled",
                 error_type=ReadOnlyError.__name__,
             )
-        index = self._dispatcher.admit()
+        self.gate.admit()
+        self.gate.acquire()
         try:
-            connection = self._dispatcher.acquire(index)
-            try:
-                return execute(
-                    connection,
-                    request,
-                    default_query=self.default_query,
-                )
-            except ReproError as error:
-                # execute() already converts library errors; anything
-                # that still escapes must not kill the worker slot.
-                return SessionResponse(
-                    op=request.op, ok=False, error=str(error)
-                )
+            return execute(
+                self.connection,
+                request,
+                default_query=self.default_query,
+            )
         finally:
-            self._dispatcher.release(index)
+            self.gate.release()
 
     def close(self) -> None:
         """Sync and close the WAL, and disarm fault injection."""
@@ -372,32 +371,20 @@ class ServingCore:
         }
 
     def stats(self, server_counters: dict) -> dict:
-        """Store build/cache counters + worker totals + wire ops.
+        """Store build/cache counters + session counters + wire ops.
 
-        Worker session counters are aggregated into one ``totals``
-        dict so the response size is independent of ``--workers``; a
-        per-worker breakdown (bounded) appears only with
-        ``stats_per_worker=True``.  ``dispatch`` carries the bounded
-        admission view (queue depths and rejections).
+        ``workers.totals`` holds the one serving session's counters —
+        every worker thread serves through it.  ``dispatch`` carries
+        the admission gate's view (admitted and rejected requests).
         """
-        worker_stats = [
-            connection.session.stats.as_dict()
-            for connection in self._connections
-        ]
-        workers: dict = {
-            "count": len(worker_stats),
-            "totals": aggregate_counters(worker_stats),
-        }
-        if self.stats_per_worker:
-            workers["per_worker"] = worker_stats[:MAX_STATS_WORKERS]
-            truncated = len(worker_stats) - MAX_STATS_WORKERS
-            if truncated > 0:
-                workers["truncated"] = truncated
         store_stats = self.store.cache_stats()
         return {
             "server": server_counters,
             "store": store_stats,
-            "workers": workers,
+            "workers": {
+                "count": self.workers,
+                "totals": self.connection.session.stats.as_dict(),
+            },
             # The at-a-glance durability view (satellite of the WAL
             # work): current version, how many MVCC snapshots pinned
             # views can still read, and the WAL high-water mark
@@ -411,7 +398,7 @@ class ServingCore:
                     self.wal.last_seq if self.wal is not None else None
                 ),
             },
-            "dispatch": self._dispatcher.counters(),
+            "dispatch": self.gate.counters(),
         }
 
 
@@ -630,23 +617,18 @@ class ReproServer:
         engine: execution engine for the shared store (name, instance,
             or ``None`` for a fresh instance of the active engine's
             kind — worker-shared, like :func:`repro.connect`).
-        workers: size of the per-worker ``Connection`` pool: the number
-            of requests doing query work concurrently.
+        workers: the number of requests doing query work concurrently.
         capacity: per-kind artifact-cache capacity of the shared store.
-        cache_slack: cache-aware planning slack of every worker session.
         default_query: a query (text or parsed) backing requests that
             carry none — the HTTP twin of ``repro session``'s bound
             query.  ``None`` means every request must name its query.
         host / port: bind address; ``port=0`` picks an ephemeral port
             (see :attr:`url`).
-        stats_per_worker: include a per-worker breakdown (capped at
-            :data:`MAX_STATS_WORKERS` entries) in ``GET /stats`` next
-            to the aggregated totals.
         verbose: log one line per request to stderr.
         read_only: refuse ``insert``/``delete`` with a structured
             HTTP 403 (:class:`~repro.errors.ReadOnlyError`).
-        queue_depth: bound on each worker's pending-request queue;
-            full fleet → HTTP 503 + ``Retry-After``
+        queue_depth: pending requests per run slot; with ``workers ×
+            queue_depth`` admitted → HTTP 503 + ``Retry-After``
             (:class:`~repro.errors.OverloadedError`).
         wal: write-ahead-log path — replayed at boot, appended before
             every apply (see :class:`ServingCore`).
@@ -667,11 +649,9 @@ class ReproServer:
         engine=None,
         workers: int = 4,
         capacity: int | None = 64,
-        cache_slack=0,
         default_query=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        stats_per_worker: bool = False,
         verbose: bool = False,
         read_only: bool = False,
         queue_depth: int | None = None,
@@ -685,9 +665,7 @@ class ReproServer:
             engine=engine,
             workers=workers,
             capacity=capacity,
-            cache_slack=cache_slack,
             default_query=default_query,
-            stats_per_worker=stats_per_worker,
             read_only=read_only,
             queue_depth=queue_depth,
             wal=wal,
@@ -718,10 +696,6 @@ class ReproServer:
     @property
     def read_only(self) -> bool:
         return self.core.read_only
-
-    @property
-    def stats_per_worker(self) -> bool:
-        return self.core.stats_per_worker
 
     # -- addresses ---------------------------------------------------------
 
@@ -796,7 +770,7 @@ class ReproServer:
         return self.core.health(front="threads")
 
     def stats(self) -> dict:
-        """Store build/cache counters + worker totals + wire ops (see
+        """Store build/cache counters + session counters + wire ops (see
         :meth:`ServingCore.stats`)."""
         return self.core.stats(self.counters.as_dict())
 
@@ -807,66 +781,14 @@ class ReproServer:
         )
 
 
-def serve(
-    database,
-    *,
-    engine=None,
-    workers: int = 4,
-    capacity: int | None = 64,
-    cache_slack=0,
-    default_query=None,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    stats_per_worker: bool = False,
-    verbose: bool = False,
-    read_only: bool = False,
-    queue_depth: int | None = None,
-    wal: str | None = None,
-    retain_versions: int | None = None,
-    chaos: str | None = None,
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-) -> ReproServer:
-    """Build a :class:`ReproServer` and serve in the foreground.
-
-    The programmatic twin of ``repro serve``; returns the (stopped)
-    server after :meth:`~ReproServer.shutdown` or Ctrl-C.
-    """
-    server = ReproServer(
-        database,
-        engine=engine,
-        workers=workers,
-        capacity=capacity,
-        cache_slack=cache_slack,
-        default_query=default_query,
-        host=host,
-        port=port,
-        stats_per_worker=stats_per_worker,
-        verbose=verbose,
-        read_only=read_only,
-        queue_depth=queue_depth,
-        wal=wal,
-        retain_versions=retain_versions,
-        chaos=chaos,
-        request_timeout=request_timeout,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return server
-
-
 __all__ = [
+    "AdmissionGate",
+    "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_REQUEST_TIMEOUT",
     "MAX_BODY_BYTES",
-    "MAX_STATS_WORKERS",
     "RETRY_AFTER_SECONDS",
     "ReproServer",
     "SESSION_ROUTE",
     "ServingCore",
-    "aggregate_counters",
     "error_body",
-    "serve",
 ]

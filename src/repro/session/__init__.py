@@ -8,8 +8,8 @@ the engine room behind the public facade (:func:`repro.connect`).
 
 :mod:`repro.session.artifacts` holds the shared read-only
 :class:`ArtifactStore`: encoded database, bag tables, and counting
-forests behind per-artifact build locks, fronted by cheap per-worker
-sessions (the concurrency backbone of ``repro serve``).
+forests behind per-artifact build locks, fronted by cheap sessions
+(the concurrency backbone of ``repro serve``).
 
 :mod:`repro.session.protocol` defines the versioned, JSON-serializable
 request/response shapes (:class:`SessionRequest` /

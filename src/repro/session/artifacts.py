@@ -1,4 +1,4 @@
-"""The shared read-only artifact store behind per-worker sessions.
+"""The shared read-only artifact store behind the sessions.
 
 PR 3 made :class:`~repro.session.AccessSession` thread-safe with one
 reentrant lock — correct, but it serializes *whole requests*: while one
@@ -479,12 +479,12 @@ class ArtifactStore:
 
     # -- sessions ----------------------------------------------------------
 
-    def session(self, cache_slack=0):
-        """A cheap per-worker :class:`~repro.session.AccessSession`
-        attached to this store (own counters, shared artifacts)."""
+    def session(self):
+        """A cheap :class:`~repro.session.AccessSession` attached to
+        this store (own counters, shared artifacts)."""
         from repro.session.session import AccessSession
 
-        return AccessSession(self, cache_slack)
+        return AccessSession(self)
 
     # -- the build protocol ------------------------------------------------
 

@@ -130,8 +130,8 @@ class CostAwareCache:
 
     Lookups can attribute hit/miss counters to a *second* per-caller
     :class:`CacheStats` (``extra``) on top of the cache's own aggregate
-    — this is how per-worker sessions keep their own counters over one
-    shared store.  The class itself is not locked; the owning
+    — this is how each session keeps its own counters over one shared
+    store.  The class itself is not locked; the owning
     :class:`~repro.session.artifacts.ArtifactStore` serializes access
     behind its registry lock.
     """

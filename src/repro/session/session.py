@@ -16,21 +16,20 @@ core:
   whose decomposition matches — verified per request by the cache-stats
   counters;
 * when no order is given, the request is planned through
-  :mod:`repro.core.advisor`, optionally *cache-aware*: among orders
-  whose exponent is within ``cache_slack`` of the optimum, one whose
-  decomposition is already cached wins over a marginally cheaper cold
-  one.
+  :mod:`repro.core.advisor`, *cache-aware*: among orders tied at the
+  optimal exponent, one whose decomposition is already cached wins.
 
-Concurrency model (since the ``repro serve`` PR): the artifacts live in
-a shared :class:`~repro.session.artifacts.ArtifactStore`, and the
-session itself is a *cheap front* — per-worker counters plus planning
-sugar.  Cache lookups take the store's short registry lock; cold builds
-take a **per-artifact** build lock, so two threads preprocessing
-*different* decompositions proceed concurrently while two threads
-racing for the *same* artifact do the work exactly once.  The served
+Concurrency model: the artifacts live in a shared
+:class:`~repro.session.artifacts.ArtifactStore`, and the session itself
+is a *cheap front* — its counters plus planning.  Cache lookups take
+the store's short registry lock; cold builds take a **per-artifact**
+build lock, so two threads preprocessing *different* decompositions
+proceed concurrently while two threads racing for the *same* artifact
+do the work exactly once.  The served
 structures are immutable after construction, so concurrent reads of a
-returned :class:`DirectAccess` need no coordination.  Sessions come
-from :meth:`ArtifactStore.session`: one store, one session per worker.
+returned :class:`DirectAccess` need no coordination, and one session
+may serve many threads (``repro serve`` runs one).  Sessions come from
+:meth:`ArtifactStore.session`.
 
 This module is the engine room behind the public facade
 (:func:`repro.connect` / :class:`repro.Connection`): prefer the facade
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from fractions import Fraction
 
 from repro.core.access import DirectAccess
 from repro.core.advisor import (
@@ -51,7 +49,6 @@ from repro.core.advisor import (
 )
 from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.core.preprocessing import Preprocessing
-from repro.core import tasks
 from repro.data.database import Database
 from repro.engine.registry import use_engine
 from repro.errors import OrderError
@@ -75,28 +72,18 @@ class AccessSession:
         store: the :class:`~repro.session.artifacts.ArtifactStore`
             this session fronts — it owns the database, the pinned
             engine, the caches and the MVCC snapshot window, and may be
-            shared by many per-worker sessions.
-        cache_slack: how much preprocessing exponent the planner may
-            give up for a warm cache: among candidate orders with
-            ``ι ≤ ι_min + cache_slack``, an already-cached decomposition
-            is preferred.  ``0`` (default) only breaks exact ties
-            towards the cache; the asymptotic guarantee is unchanged.
+            shared by several sessions.
     """
 
-    #: Cache-aware planning inspects at most this many slack-window
+    #: Cache-aware planning inspects at most this many tied-optimal
     #: candidates per plan; beyond it (symmetric queries tie
     #: factorial-many orders) extra candidates add LP solves and memory
     #: but no real planning signal.
     PLAN_WINDOW = 16
 
-    def __init__(
-        self,
-        store: ArtifactStore,
-        cache_slack: Fraction | int | float = 0,
-    ):
+    def __init__(self, store: ArtifactStore):
         self.store = store
         self.engine = store.engine
-        self.cache_slack = Fraction(cache_slack)
         self.stats = SessionStats()
         # A leaf lock for this session's own counters and snapshots —
         # held for increments only, never while calling into the store
@@ -115,11 +102,6 @@ class AccessSession:
     def db_version(self) -> int:
         """The store's database version (bumped by :meth:`apply`)."""
         return self.store.db_version
-
-    @property
-    def _plans(self):
-        # Back-compat introspection handle (tests peek at ._entries).
-        return self.store.cache("plans")
 
     # -- mutations ---------------------------------------------------------
 
@@ -147,9 +129,6 @@ class AccessSession:
         key = (
             query.signature(),
             tuple(prefix) if prefix is not None else None,
-            # The stored list is trimmed to the slack window, so a
-            # mutated cache_slack must miss and re-plan.
-            self.cache_slack,
         )
 
         def build_plan() -> list[OrderReport]:
@@ -165,14 +144,13 @@ class AccessSession:
                 )
             )
             # Keep only the candidates plan() can ever pick — those
-            # within cache_slack of the optimum, capped at PLAN_WINDOW
-            # (symmetric queries can tie factorial-many orders at the
-            # optimum) — and attach their decompositions for key
+            # tied at the optimum, capped at PLAN_WINDOW (symmetric
+            # queries can tie factorial-many orders) — and attach their decompositions for key
             # lookups and cache-free serving.  The <= PLAN_WINDOW
             # rebuilds duplicate work _rank discarded, but next to the
             # factorial ranking itself that is noise, and it keeps the
             # advisor API free of a retain-decompositions mode.
-            threshold = ranked[0].iota + max(self.cache_slack, 0)
+            best = ranked[0].iota
             return [
                 replace(
                     report,
@@ -181,7 +159,7 @@ class AccessSession:
                     ),
                 )
                 for report in ranked
-                if report.iota <= threshold
+                if report.iota == best
             ]
 
         # Plans are data-independent (``relations=None``): a delta
@@ -216,21 +194,16 @@ class AccessSession:
     ) -> OrderReport:
         """The order the session would serve ``query`` with.
 
-        The cheapest order by incompatibility number — except that among
-        candidates within ``cache_slack`` of the optimum, one whose
-        decomposition already sits in the session caches is preferred
-        (its preprocessing is free).
+        The cheapest order by incompatibility number — among orders
+        tied at the optimum, one whose decomposition already sits in the
+        store is preferred (its preprocessing is free).
         """
         if prefix is not None:
             prefix = _as_order(prefix)
         ranked = self._ranked(query, prefix, version)
         best = ranked[0]
-        if self.cache_slack < 0:
-            return best
         signature = query.signature()
         for report in ranked:
-            if report.iota > best.iota + self.cache_slack:
-                break
             key = self._preprocessing_key(
                 signature, report.decomposition
             )
@@ -462,35 +435,6 @@ class AccessSession:
                 preprocessing=preprocessing,
                 forest=forest,
             )
-
-    # -- task-layer conveniences ------------------------------------------
-
-    def count(self, query, order=None, prefix=None) -> int:
-        """Number of answers (without enumerating them)."""
-        return len(self.access(query, order=order, prefix=prefix))
-
-    def median(self, query, order=None, prefix=None) -> tuple:
-        """The middle answer under the served order."""
-        return tasks.median(
-            self.access(query, order=order, prefix=prefix)
-        )
-
-    def page(
-        self, query, page_number: int, page_size: int, order=None,
-        prefix=None,
-    ) -> list[tuple]:
-        """One page of ranked answers (batched access)."""
-        return tasks.page(
-            self.access(query, order=order, prefix=prefix),
-            page_number,
-            page_size,
-        )
-
-    def rank(self, query, row: tuple, order=None, prefix=None):
-        """Inverse access: the index of ``row``, or ``None`` if no answer."""
-        return self.access(
-            query, order=order, prefix=prefix
-        ).rank_of(row)
 
     # -- observability -----------------------------------------------------
 

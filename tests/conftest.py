@@ -82,11 +82,11 @@ def read_reply(stream):
     return status_line, headers, body, raw + body
 
 
-def make_session(database, engine=None, capacity=64, cache_slack=0):
+def make_session(database, engine=None, capacity=64):
     """An :class:`~repro.session.AccessSession` over its own fresh
     store — what :func:`repro.connect` builds behind a connection."""
     store = ArtifactStore(database, engine=engine, capacity=capacity)
-    return store.session(cache_slack)
+    return store.session()
 
 
 @pytest.fixture

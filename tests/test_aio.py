@@ -216,13 +216,14 @@ class TestAsyncFront:
             assert server.stats()["front"]["ceiling_rejections"] >= 1
 
     def test_full_queues_answer_503_with_retry_after(self):
-        """Bounded admission: every slot pending → a structured 503
-        the HTTP client replays as OverloadedError."""
+        """Bounded admission: the gate full → a structured 503 the
+        HTTP client replays as OverloadedError."""
         with AsyncReproServer(
             RELATIONS, workers=1, default_query=QUERY, queue_depth=1
         ) as server:
-            dispatcher = server.core._dispatcher
-            index = dispatcher.admit()  # the one slot, now full
+            gate = server.core.gate
+            gate.admit()  # the one admission, now taken
+            gate.acquire()
             try:
                 sock = raw_socket(server)
                 try:
@@ -245,7 +246,7 @@ class TestAsyncFront:
                     connection.prepare(QUERY, order=["x", "y", "z"])
                 connection.close()
             finally:
-                dispatcher.release(index)
+                gate.release()
             stats = server.stats()
             assert stats["dispatch"]["rejections"] >= 2
             assert stats["server"]["http_errors"]["503"] >= 2
@@ -282,9 +283,9 @@ class TestAsyncFront:
         with AsyncReproServer(
             RELATIONS, workers=1, default_query=QUERY, queue_depth=4
         ) as server:
-            dispatcher = server.core._dispatcher
-            held = dispatcher.admit()
-            dispatcher.acquire(held)  # the worker slot is now busy
+            gate = server.core.gate
+            gate.admit()
+            gate.acquire()  # the one run slot is now busy
             outcome: dict = {}
 
             def slow_request() -> None:
@@ -308,7 +309,7 @@ class TestAsyncFront:
             time.sleep(0.3)
             server.request_shutdown()
             time.sleep(0.2)
-            dispatcher.release(held)
+            gate.release()
             thread.join(timeout=30)
             server.shutdown()
             assert outcome.get("status") == 200

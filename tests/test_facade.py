@@ -359,20 +359,25 @@ class TestPublicSurface:
         from repro import AccessSession
 
         parameters = inspect.signature(AccessSession.__init__).parameters
-        assert list(parameters) == ["self", "store", "cache_slack"]
+        assert list(parameters) == ["self", "store"]
 
     def test_staleness_contract_has_no_switch(self):
         """MVCC-retained snapshots with StaleViewError on eviction is
-        the one contract: nothing takes a strict-staleness flag."""
-        from repro.server import AsyncReproServer, ReproServer
+        the one contract: nothing takes a strict-staleness flag — nor
+        the deleted planning-slack and per-worker-stats knobs."""
+        from repro.server import AsyncReproServer, ReproServer, ServingCore
         from repro.session import ArtifactStore
 
+        forbidden = ("strict", "cache_slack", "stats_per_worker")
         for factory in (
-            connect, ArtifactStore, ReproServer, AsyncReproServer,
+            connect, ArtifactStore, ArtifactStore.session, ReproServer,
+            AsyncReproServer, ServingCore,
         ):
             parameters = inspect.signature(factory).parameters
             assert not [
-                name for name in parameters if "strict" in name
+                name
+                for name in parameters
+                if any(word in name for word in forbidden)
             ], factory
 
     def test_connect_made_connection_clears_its_store(self):

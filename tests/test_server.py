@@ -202,22 +202,59 @@ class TestTransport:
         assert body["server"]["requests"] == 1
         assert body["server"]["ops"] == {"count": 1}
         assert body["store"]["database_encodes"] == 1
-        # Worker counters arrive aggregated: one totals dict, not one
-        # dict per worker (the response is O(1) in --workers).
+        # One session serves every worker thread: its counters are the
+        # totals, and there is no per-worker breakdown.
         assert body["workers"]["count"] == 4
         assert body["workers"]["totals"]["requests"] == 1
         assert "per_worker" not in body["workers"]
+        assert body["dispatch"] == {
+            "workers": 4,
+            "queue_capacity": 4 * 16,
+            "admitted": 0,
+            "rejections": 0,
+        }
 
-    def test_stats_per_worker_escape_hatch(self):
-        with ReproServer(
-            RELATIONS, workers=3, stats_per_worker=True
-        ) as server:
-            post_op(server, {"op": "count", "query": QUERY})
-            _status, body = http_get(server.url + "/stats")
-            per_worker = body["workers"]["per_worker"]
-            assert len(per_worker) == 3
-            assert sum(w["requests"] for w in per_worker) == 1
-            assert "truncated" not in body["workers"]
+    def test_stats_op_sees_every_worker(self, monkeypatch):
+        """Reads on both run slots at once, then the ``stats`` op: it
+        reports the same request count as ``GET /stats``, whichever
+        slot it lands on."""
+        import repro.server.http as http_module
+
+        real = http_module.execute
+        both_running = threading.Barrier(2, timeout=10)
+
+        def rendezvous(connection, request, **kwargs):
+            if request.op == "access":
+                both_running.wait()  # two reads in flight at once
+            return real(connection, request, **kwargs)
+
+        monkeypatch.setattr(http_module, "execute", rendezvous)
+        with ReproServer(RELATIONS, workers=2) as server:
+            read = {
+                "op": "access", "query": QUERY,
+                "order": ["x", "y", "z"], "indices": [0],
+            }
+            replies: list = []
+            threads = [
+                threading.Thread(
+                    target=lambda: replies.append(post_op(server, read))
+                )
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert [status for status, _ in replies] == [200, 200]
+            assert all(body["ok"] for _, body in replies)
+            status, body = post_op(server, {"op": "stats"})
+            assert status == 200
+            _status, stats = http_get(server.url + "/stats")
+            assert body["result"]["requests"] == 2
+            assert (
+                body["result"]["requests"]
+                == stats["workers"]["totals"]["requests"]
+            )
 
     def test_malformed_json_is_structured_400(self, server):
         status, body = http_post(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,6 +15,7 @@ from repro import (
     parse_query,
     use_engine,
 )
+from repro.core import tasks
 from repro.core.access import DirectAccess
 from repro.core.decomposition import DisruptionFreeDecomposition
 from repro.data.columnar import numpy_available
@@ -207,26 +207,20 @@ class TestPlanning:
     def test_cache_aware_order_choice(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(3))
-        # Slack 1 admits the iota-2 order (x, z, y) once it is warm.
-        session = make_session(database, cache_slack=1)
-        warm_order = ["x", "z", "y"]
+        session = make_session(database)
+        # (z, y, x) ties the cold pick (x, y, z) at iota 1 with another
+        # decomposition; once warm, the tie breaks towards it.
+        warm_order = ["z", "y", "x"]
+        assert list(session.plan(query).order) != warm_order
         session.access(query, order=warm_order)
         report = session.plan(query)
         assert list(report.order) == warm_order
         assert session.stats.cache_preferred_orders == 1
-        # With the default slack 0 the cold optimum still wins.
+        # A warm iota-2 order never beats the cold optimum.
         strict = make_session(database)
-        strict.access(query, order=warm_order)
+        strict.access(query, order=["x", "z", "y"])
         assert strict.plan(query).iota == 1
-
-    def test_mutated_cache_slack_replans(self):
-        query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        database = random_database_for(query, random.Random(9))
-        session = make_session(database)
-        session.plan(query)  # caches the slack-0 (ties-only) window
-        session.cache_slack = Fraction(1)
-        session.access(query, order=["x", "z", "y"])  # warm iota-2
-        assert list(session.plan(query).order) == ["x", "z", "y"]
+        assert strict.stats.cache_preferred_orders == 0
 
     def test_plan_accepts_plain_list_prefix(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
@@ -336,11 +330,11 @@ class TestPlanning:
         )
         assert list(access.order) == ["y", "x", "z"]
 
-    def test_plan_cache_keeps_only_the_slack_window(self):
+    def test_plan_cache_keeps_only_tied_optimal_orders(self):
         query = parse_query(STAR)  # 4 variables, 24 orders
         session = make_session(star_database())
         session.plan(query)
-        (stored,) = session._plans._entries.values()
+        (stored,) = session.store.cache("plans")._entries.values()
         best = stored[0].iota
         assert all(report.iota == best for report in stored)
         assert len(stored) < 24
@@ -353,13 +347,12 @@ class TestSessionMechanics:
         session = make_session(database)
         order = ["x", "y", "z"]
         answers = lex_answers(query, database, VariableOrder(order))
-        assert session.count(query, order=order) == len(answers)
+        access = session.access(query, order=order)
+        assert len(access) == len(answers)
         if answers:
-            assert (
-                session.median(query, order=order)
-                == answers[(len(answers) - 1) // 2]
-            )
-            assert session.page(query, 0, 3, order=order) == answers[:3]
+            assert tasks.median(access) == answers[(len(answers) - 1) // 2]
+            assert tasks.page(access, 0, 3) == answers[:3]
+            assert access.rank_of(answers[-1]) == len(answers) - 1
 
     def test_lru_eviction_keeps_serving(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
