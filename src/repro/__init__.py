@@ -42,11 +42,7 @@ from repro.data import (
     WriteAheadLog,
 )
 from repro.facade import AnswerView, Connection, connect
-from repro.session import (
-    AccessSession,
-    SessionRequest,
-    SessionResponse,
-)
+from repro.session import SessionRequest, SessionResponse
 from repro.engine import (
     available_engines,
     get_engine,
@@ -72,7 +68,6 @@ from repro.query import (
 __version__ = "2.0.0"
 
 __all__ = [
-    "AccessSession",
     "AnswerTester",
     "AnswerView",
     "Atom",

@@ -16,7 +16,7 @@ Commands:
   one :class:`~repro.session.SessionResponse` per output line, run
   through :func:`repro.session.protocol.execute` — the grammar
   ``repro serve`` speaks over HTTP.
-* ``serve`` — the same protocol over HTTP: one session over one
+* ``serve`` — the same protocol over HTTP: one connection over one
   artifact store, ``--workers`` requests at a time (``POST
   /v1/session``, ``GET /healthz``, ``GET /stats``; spec in
   ``docs/protocol.md``), behind either the threaded stdlib front or,
@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the JSON session protocol over HTTP",
         description="Serve the versioned JSON session protocol "
         "(docs/protocol.md) at POST /v1/session, with GET /healthz "
-        "and GET /stats, from one session over one artifact store.",
+        "and GET /stats, from one connection over one artifact store.",
     )
     serve.add_argument(
         "--relation",

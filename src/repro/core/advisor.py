@@ -34,7 +34,7 @@ class OrderReport:
         disruptive_trio: a trio witnessing incompatibility with the
             original hypergraph, or None.
         decomposition: optional slot (excluded from equality/repr) a
-            cache-aware planner can fill — e.g. the session attaches
+            cache-aware planner can fill — e.g. the store attaches
             decompositions to the few head reports it keeps, so serving
             the planned order needs no recomputation.  Rankings leave
             it ``None`` to avoid retaining factorial-many
@@ -118,7 +118,7 @@ def rank_orders_with_prefix(
     The planning face of Definition 49 (without projections): the user
     needs the answers sorted primarily by ``prefix`` and does not care
     how ties are broken; the ranking lists every completion by its
-    preprocessing exponent so a cache-aware planner (the session) can
+    preprocessing exponent so a cache-aware planner (the store) can
     trade a marginally higher exponent for an already-cached
     decomposition.
     """

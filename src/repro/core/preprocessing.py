@@ -143,7 +143,7 @@ class Preprocessing:
         database: the input database.
         decomposition: optionally, the already-built disruption-free
             decomposition of ``(query, order)`` (avoids recomputing it
-            when a caller — e.g. the session's advisor — has one).
+            when a caller — e.g. the store's planner — has one).
         bag_tables: optionally, already-materialized bag relations as a
             :class:`BagTables` carrier, e.g. another
             :meth:`Preprocessing.bag_tables` result from a session

@@ -241,7 +241,7 @@ class Engine(abc.ABC):
     def encode_database(self, database) -> None:
         """Prepare ``database`` for repeated queries under this engine.
 
-        Called once per session (:class:`repro.session.AccessSession`),
+        Called once per store (:class:`repro.session.ArtifactStore`),
         before any query runs, so per-query setup work can be hoisted:
         the numpy engine builds one shared-domain dictionary for all
         relations, the Python engine warms the sorted-tuple caches.
@@ -258,7 +258,7 @@ class Engine(abc.ABC):
         ``database`` (:meth:`Database.advanced_by
         <repro.data.database.Database.advanced_by>` structural
         sharing), so the old database remains a valid immutable
-        snapshot — sessions that captured it keep serving consistent
+        snapshot — readers that captured it keep serving consistent
         pre-delta answers.  ``incremental`` reports whether the engine
         maintained its per-database preparation in place (e.g.
         extended a shared dictionary code-stably) instead of

@@ -3,7 +3,7 @@
 The active engine is process-global.  It is resolved lazily on first use
 from the ``REPRO_ENGINE`` environment variable (``python`` by default)
 and can be switched at runtime with :func:`set_engine` or scoped —
-per thread, so concurrent sessions cannot corrupt each other — with
+per thread, so concurrent threads cannot corrupt each other — with
 the :func:`use_engine` context manager.  Long-lived structures such as
 :class:`~repro.core.access.DirectAccess` capture the engine active at
 construction time, so switching engines never corrupts existing indexes.
@@ -101,10 +101,10 @@ def set_engine(engine: str | Engine) -> Engine:
 def use_engine(engine: str | Engine):
     """Temporarily activate ``engine`` for the calling thread.
 
-    The activation is **thread-local**: concurrent sessions pinning
+    The activation is **thread-local**: concurrent threads pinning
     different engines never observe each other's scope, and no lock is
     involved (so a ``use_engine`` block may freely call into locked
-    structures like :class:`~repro.session.AccessSession`).  Threads
+    structures like :class:`~repro.session.ArtifactStore`).  Threads
     spawned inside the block do not inherit it; outside any scope,
     :func:`get_engine` keeps the process-global semantics.
     """

@@ -19,7 +19,7 @@ with sequence semantics:
 
 Everything underneath — engine selection, dictionary encoding,
 cache-aware planning, cross-order preprocessing reuse — is the
-:class:`~repro.session.AccessSession` engine room behind the
+:class:`~repro.session.ArtifactStore` engine room behind the
 :class:`Connection`; every :meth:`Connection.prepare` is a cache-aware
 planning step, so preparing the same query twice costs one
 preprocessing pass.
@@ -50,8 +50,7 @@ from repro.errors import (
     StaleViewError,
 )
 from repro.query.parser import parse_query
-from repro.session.artifacts import ArtifactStore
-from repro.session.session import AccessSession
+from repro.session.artifacts import ArtifactStore, StoreStats
 
 
 def connect(
@@ -117,21 +116,20 @@ def connect(
         capacity=cache,
         retain_versions=retain_versions,
     )
-    connection = Connection(store.session())
-    connection._store = store
-    return connection
+    return Connection(store)
 
 
 class Connection:
     """A prepared-query handle over one database.
 
-    Wraps the serving layer (:class:`~repro.session.AccessSession`):
-    every :meth:`prepare` is cache-aware planning, so repeated or
-    sibling-order requests share dictionary encodings, materialized bag
-    relations, and counting forests.  Thread-safe: artifacts live in a
-    :class:`~repro.session.ArtifactStore` whose builds synchronize per
-    artifact, so concurrent threads never duplicate a preprocessing
-    pass — and never serialize behind an unrelated one.
+    Wraps the serving layer (:class:`~repro.session.ArtifactStore`),
+    which it owns: :meth:`clear_cache` and :meth:`close` drop the
+    store's artifacts.  Every :meth:`prepare` is cache-aware planning,
+    so repeated or sibling-order requests share dictionary encodings,
+    materialized bag relations, and counting forests.  Thread-safe:
+    the store's builds synchronize per artifact, so concurrent threads
+    never duplicate a preprocessing pass — and never serialize behind
+    an unrelated one.
 
     Construct through :func:`connect` — with a URL instead of a
     database, :func:`connect` returns the wire twin of this class
@@ -139,13 +137,8 @@ class Connection:
     returns remote views with the same Sequence semantics.
     """
 
-    def __init__(self, session: AccessSession):
-        self._session = session
-        # The store this connection built and therefore clears —
-        # :func:`connect` sets it.  A connection attached to a shared
-        # store (the server's) leaves it ``None``: it must not wipe
-        # artifacts it does not own.
-        self._store: ArtifactStore | None = None
+    def __init__(self, store: ArtifactStore):
+        self._store = store
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -159,16 +152,12 @@ class Connection:
     def close(self) -> None:
         """Drop the caches and refuse further ``prepare`` calls."""
         if not self._closed:
-            self._clear()
+            self._store.clear()
             self._closed = True
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def _clear(self) -> None:
-        if self._store is not None:
-            self._store.clear()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -200,16 +189,14 @@ class Connection:
                 version is no longer retained.
         """
         self._check_open()
-        access, version = self._session.access_versioned(
+        access, version = self._store.access_versioned(
             query,
             order=order,
             prefix=prefix,
             projected=projected,
             at_version=at_version,
         )
-        return AnswerView(
-            access, session=self._session, version=version
-        )
+        return AnswerView(access, store=self._store, version=version)
 
     def _read(
         self, query, order=None, prefix=None, at_version=None
@@ -222,7 +209,7 @@ class Connection:
         exactly, as in :meth:`prepare`.
         """
         self._check_open()
-        access, version = self._session.access_versioned(
+        access, version = self._store.access_versioned(
             query, order=order, prefix=prefix, at_version=at_version
         )
         return AnswerView(access, version=version)
@@ -232,7 +219,7 @@ class Connection:
         self._check_open()
         if isinstance(query, str):
             query = parse_query(query)
-        return self._session.plan(query, prefix)
+        return self._store.plan(query, prefix)
 
     # -- mutations ---------------------------------------------------------
 
@@ -251,7 +238,7 @@ class Connection:
         version returned.
         """
         self._check_open()
-        return self._session.apply(delta)
+        return self._store.apply(delta)
 
     def insert(self, relation: str, rows) -> int:
         """Insert ``rows`` into ``relation``; the new database version."""
@@ -264,31 +251,39 @@ class Connection:
     @property
     def db_version(self) -> int:
         """The served database's version (bumped by :meth:`apply`)."""
-        return self._session.db_version
+        return self._store.db_version
 
     # -- observability -----------------------------------------------------
 
     @property
     def database(self) -> Database:
-        return self._session.database
+        return self._store.database
 
     @property
     def engine_name(self) -> str:
-        return self._session.engine.name
+        return self._store.engine.name
 
     @property
-    def session(self) -> AccessSession:
+    def session(self) -> ArtifactStore:
         """The serving engine room (caches, planner) behind this handle."""
-        return self._session
+        return self._store
 
     def stats(self) -> dict:
-        """An atomic snapshot of cache/work counters (plain dicts)."""
-        return self._session.cache_stats()
+        """An atomic snapshot of the store's counters (plain dicts):
+        the request/work counters and the per-kind cache counters at
+        the top level, everything under ``"store"``."""
+        store = self._store.cache_stats()
+        out = {
+            key: store[key]
+            for key in StoreStats.WORK + ArtifactStore.KINDS
+        }
+        out["store"] = store
+        return out
 
     def clear_cache(self) -> None:
         """Drop every cached artifact (counters are kept)."""
         self._check_open()
-        self._clear()
+        self._store.clear()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -500,7 +495,7 @@ class AnswerView(WindowedAnswers):
 
     __slots__ = (
         "_access",
-        "_session",
+        "_store",
         "_version",
         "_finalizer",
         "__weakref__",
@@ -511,7 +506,7 @@ class AnswerView(WindowedAnswers):
         access: DirectAccess,
         window: range | None = None,
         *,
-        session: AccessSession | None = None,
+        store: ArtifactStore | None = None,
         version: int | None = None,
     ):
         self._access = access
@@ -525,22 +520,22 @@ class AnswerView(WindowedAnswers):
         # its artifacts.  Unpinned views (direct construction over a
         # standalone DirectAccess) skip all of it — there is no
         # mutable store behind them.
-        self._session = session
+        self._store = store
         self._version = version
         self._finalizer = None
-        if session is not None and version is not None:
-            if session.store.pin_version(version):
+        if store is not None and version is not None:
+            if store.pin_version(version):
                 self._finalizer = weakref.finalize(
-                    self, session.store.release_version, version
+                    self, store.release_version, version
                 )
 
     def _check_fresh(self) -> None:
-        if self._session is None:
+        if self._store is None:
             return
-        if not self._session.store.is_readable(self._version):
+        if not self._store.is_readable(self._version):
             raise StaleViewError(
                 f"view was prepared at db_version {self._version}, "
-                f"database is now at {self._session.db_version} and "
+                f"database is now at {self._store.db_version} and "
                 "the snapshot is no longer retained; re-prepare the "
                 "query for a fresh view"
             )
@@ -595,7 +590,7 @@ class AnswerView(WindowedAnswers):
         return AnswerView(
             self._access,
             window,
-            session=self._session,
+            store=self._store,
             version=self._version,
         )
 

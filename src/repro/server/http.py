@@ -28,9 +28,9 @@ Routes (full spec in ``docs/protocol.md``):
   ``error_type`` ``OverloadedError``.
 * ``GET /healthz`` — liveness: package + protocol versions, engine,
   worker count and front.
-* ``GET /stats`` — the shared store's build/cache counters, the
-  transport's own op counters, the admission gate's counters, and the
-  serving session's counters.
+* ``GET /stats`` — the store's counters (``store``, and its
+  request/work and cache counters again under ``workers.totals``),
+  the transport's own op counters, and the admission gate's counters.
 
 Concurrency: :class:`http.server.ThreadingHTTPServer` spawns a thread
 per connection; each request then passes one :class:`AdmissionGate`,
@@ -307,7 +307,7 @@ class ServingCore:
         self.default_query = default_query
         self.read_only = bool(read_only)
         self.workers = workers
-        self.connection = Connection(self.store.session())
+        self.connection = Connection(self.store)
 
     # -- serving -----------------------------------------------------------
 
@@ -371,19 +371,22 @@ class ServingCore:
         }
 
     def stats(self, server_counters: dict) -> dict:
-        """Store build/cache counters + session counters + wire ops.
+        """Store counters + wire ops.
 
-        ``workers.totals`` holds the one serving session's counters —
-        every worker thread serves through it.  ``dispatch`` carries
-        the admission gate's view (admitted and rejected requests).
+        ``workers.totals`` holds the store's request/work and per-kind
+        cache counters (:meth:`repro.Connection.stats` without
+        ``"store"``) — every worker thread serves through the one
+        store.  ``dispatch`` carries the admission gate's view
+        (admitted and rejected requests).
         """
-        store_stats = self.store.cache_stats()
+        totals = self.connection.stats()
+        store_stats = totals.pop("store")
         return {
             "server": server_counters,
             "store": store_stats,
             "workers": {
                 "count": self.workers,
-                "totals": self.connection.session.stats.as_dict(),
+                "totals": totals,
             },
             # The at-a-glance durability view (satellite of the WAL
             # work): current version, how many MVCC snapshots pinned

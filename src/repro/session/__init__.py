@@ -1,15 +1,14 @@
 """Serving layer: amortized direct access across repeated requests.
 
-:class:`AccessSession` fronts an :class:`ArtifactStore` and shares
+:class:`ArtifactStore` is one object per database: it shares
 dictionary encodings, materialized bag relations, and counting
 forests between every request that can legally reuse them (same
-decomposition, same engine) — see :mod:`repro.session.session`.  It is
-the engine room behind the public facade (:func:`repro.connect`).
-
-:mod:`repro.session.artifacts` holds the shared read-only
-:class:`ArtifactStore`: encoded database, bag tables, and counting
-forests behind per-artifact build locks, fronted by cheap sessions
-(the concurrency backbone of ``repro serve``).
+decomposition, same engine), plans orders cache-aware, and keeps
+every counter (:class:`StoreStats`) — see
+:mod:`repro.session.artifacts`.  Builds synchronize per artifact, so
+one store serves many threads (the concurrency backbone of
+``repro serve``).  It is the engine room behind the public facade
+(:func:`repro.connect`).
 
 :mod:`repro.session.protocol` defines the versioned, JSON-serializable
 request/response shapes (:class:`SessionRequest` /
@@ -19,21 +18,15 @@ funnels through one executor.
 """
 
 from repro.session.artifacts import ArtifactStore, StoreStats
-from repro.session.cache import (
-    CacheStats,
-    CostAwareCache,
-    SessionStats,
-)
+from repro.session.cache import CacheStats, CostAwareCache
 from repro.session.mvcc import DEFAULT_RETAIN, SnapshotPlane
 from repro.session.protocol import (
     PROTOCOL_VERSION,
     SessionRequest,
     SessionResponse,
 )
-from repro.session.session import AccessSession
 
 __all__ = [
-    "AccessSession",
     "ArtifactStore",
     "CacheStats",
     "CostAwareCache",
@@ -41,7 +34,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SessionRequest",
     "SessionResponse",
-    "SessionStats",
     "SnapshotPlane",
     "StoreStats",
 ]

@@ -1,17 +1,34 @@
-"""The shared read-only artifact store behind the sessions.
+"""The serving layer: one database, many direct-access requests.
 
-PR 3 made :class:`~repro.session.AccessSession` thread-safe with one
-reentrant lock — correct, but it serializes *whole requests*: while one
-thread pays an ``O(|D|^ι)`` preprocessing pass, every other thread
-waits, even those asking for artifacts that already exist or for a
-*different* decomposition.  For a serving process (``repro serve``)
-that is the difference between N workers and one.
+Theorem 44 makes preprocessing cost an exact function of the query and
+the variable order, which means a long-lived service can *plan*: many
+orders induce the same disruption-free decomposition and can share one
+``O(|D|^ι)`` preprocessing pass, and every query over one database can
+share one dictionary encoding.  :class:`ArtifactStore` is that service
+core, one per database:
 
-:class:`ArtifactStore` splits that lock three ways:
+* it pins an execution engine and lets it pre-encode the database once
+  (shared-domain dictionary under numpy, warm sorted caches under
+  Python);
+* each :meth:`~ArtifactStore.access` request reuses, in order of
+  coarseness, the exact :class:`~repro.core.access.DirectAccess`
+  structure, the counting forest, or the materialized bag relations of
+  any earlier request whose decomposition matches — verified per
+  request by the :class:`StoreStats` counters;
+* when no order is given, the request is planned through
+  :mod:`repro.core.advisor`, *cache-aware*: among orders tied at the
+  optimal exponent, one whose decomposition is already cached wins.
+
+One lock around whole requests would be correct but would serialize
+them: while one thread pays an ``O(|D|^ι)`` preprocessing pass, every
+other thread would wait, even those asking for artifacts that already
+exist or for a *different* decomposition.  For a serving process
+(``repro serve``) that is the difference between N workers and one.
+The store splits that lock three ways:
 
 * a **registry lock** — held only for dictionary lookups, cache
-  insertion, and stats updates (microseconds, never across tuple
-  work);
+  insertion, and every counter update (microseconds, never across
+  tuple work);
 * **per-artifact build locks** — one lock per cache key, created on
   demand, held across the actual build.  Two workers requesting the
   *same* cold artifact serialize on its key (the second finds it warm:
@@ -54,7 +71,8 @@ Head-invalidated artifacts are kept under their old version while that
 version has open views (``artifacts_retained``) and garbage-collected
 when its last view closes or the version leaves the window
 (``artifacts_gcd``).  :class:`~repro.errors.StaleViewError` survives
-only as the fallback for reads of an *evicted* snapshot.
+only as the fallback for reads of an *evicted* snapshot, or of a
+version ahead of the head.
 
 Next to the ``access`` cache sits the **request map**
 (:meth:`ArtifactStore.lookup` / :meth:`ArtifactStore.remember`): what a
@@ -75,34 +93,49 @@ current.  An *effectively empty* delta (every insert already present,
 every delete already absent) is a no-op: no version bump, no log
 record, no invalidation (``noop_deltas``).
 
-One store fronts many cheap :class:`~repro.session.AccessSession`
-objects — one per server worker — each keeping its own request/plan
-counters while the artifact caches, and the once-per-database encoded
-dictionary, are shared:
+Every thread of a serving process reads through the one store; the
+artifact caches and the once-per-database encoded dictionary are
+shared by every request:
 
     >>> from repro.session.artifacts import ArtifactStore
     >>> store = ArtifactStore({"R": {(1, 2), (3, 2)}, "S": {(2, 7)}})
-    >>> worker_a, worker_b = store.session(), store.session()
-    >>> len(worker_a.access("Q(x, y, z) :- R(x, y), S(y, z)",
-    ...                     order=["x", "y", "z"]))
+    >>> len(store.access("Q(x, y, z) :- R(x, y), S(y, z)",
+    ...                  order=["y", "x", "z"]))
     2
-    >>> len(worker_b.access("Q(x, y, z) :- R(x, y), S(y, z)",
-    ...                     order=["x", "z", "y"]))    # warm sibling?
+    >>> len(store.access("Q(x, y, z) :- R(x, y), S(y, z)",
+    ...                  order=["y", "z", "x"]))    # sibling order
     2
-    >>> store.stats.database_encodes     # encoded once, not per worker
+    >>> store.stats.bag_materializations    # one decomposition, built once
+    3
+    >>> store.stats.database_encodes
     1
+
+This module is the engine room behind the public facade
+(:func:`repro.connect` / :class:`repro.Connection`): prefer the facade
+in application code.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.core.access import DirectAccess
+from repro.core.advisor import (
+    OrderReport,
+    rank_orders,
+    rank_orders_with_prefix,
+)
+from repro.core.decomposition import DisruptionFreeDecomposition
+from repro.core.preprocessing import Preprocessing
 from repro.data.database import Database
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_engine
-from repro.errors import StaleViewError
+from repro.engine.registry import resolve_engine, use_engine
+from repro.errors import OrderError, StaleViewError
+from repro.query.parser import parse_query
+from repro.query.query import JoinQuery
+from repro.query.variable_order import VariableOrder
 from repro.session.cache import CacheStats, CostAwareCache
 from repro.session.mvcc import DEFAULT_RETAIN, SnapshotPlane
 
@@ -114,13 +147,36 @@ from repro.session.mvcc import DEFAULT_RETAIN, SnapshotPlane
 DEPENDS_ON_ALL = object()
 
 
+def _as_order(order) -> VariableOrder:
+    if isinstance(order, VariableOrder):
+        return order
+    return VariableOrder(list(order))
+
+
 @dataclass
 class StoreStats:
-    """Aggregate counters for one :class:`ArtifactStore`.
+    """The counters of one :class:`ArtifactStore`, one set per store.
 
-    The per-kind :class:`CacheStats` aggregate over *all* attached
-    sessions (each session additionally keeps its own).  The build
-    counters are the serving-layer acceptance evidence:
+    Each artifact kind keeps one :class:`CacheStats`.  The request
+    counters: ``requests`` counts served :meth:`ArtifactStore.access`
+    calls, ``advisor_calls`` plans actually computed (not served from
+    the ``plans`` cache), ``cache_preferred_orders`` plans that picked
+    a warm order over an equally cheap cold one.
+
+    ``bag_materializations`` / ``forest_builds`` count *work done*, not
+    lookups: a request served entirely from cache leaves both untouched
+    — the property the acceptance tests pin down.  They count bag
+    relations and bag indexes built **from scratch**.  The first read
+    after a write can instead derive them from the previous version's
+    (numpy engine, code-stable delta): ``bag_patches`` counts bag
+    relations moved forward by the delta rule — every bag reading a
+    touched relation — and ``forest_patches`` bag indexes patched in
+    place of a build.  A bag that reads no touched relation is shared
+    with the previous version and counts in neither; a patch that falls
+    back (renumbering delta, python engine, object-dtype weights, a
+    missing base) counts in the from-scratch pair.
+
+    The build counters are the serving-layer acceptance evidence:
 
     * ``database_encodes`` — how many times the engine actually encoded
       the database; stays 1 no matter how many workers attach;
@@ -130,7 +186,7 @@ class StoreStats:
       and then found the artifact warm (the de-duplication at work);
     * ``build_concurrency_peak`` — the high-water mark of builds running
       *simultaneously*; ``>= 2`` proves two artifacts were built under
-      different locks, which a single session-wide lock can never show.
+      different locks, which a single store-wide lock can never show.
 
     The mutation (generation) counters are the incremental-maintenance
     acceptance evidence:
@@ -158,16 +214,34 @@ class StoreStats:
       snapshot window.
     """
 
+    #: The request and work counters, which
+    #: :meth:`repro.Connection.stats` also lists at its top level.
+    WORK = (
+        "requests",
+        "advisor_calls",
+        "cache_preferred_orders",
+        "bag_materializations",
+        "forest_builds",
+        "bag_patches",
+        "forest_patches",
+    )
+
     preprocessing: CacheStats = field(default_factory=CacheStats)
     forest: CacheStats = field(default_factory=CacheStats)
     access: CacheStats = field(default_factory=CacheStats)
     plans: CacheStats = field(default_factory=CacheStats)
     decompositions: CacheStats = field(default_factory=CacheStats)
+    requests: int = 0
+    advisor_calls: int = 0
+    cache_preferred_orders: int = 0
+    bag_materializations: int = 0
+    forest_builds: int = 0
+    bag_patches: int = 0
+    forest_patches: int = 0
     database_encodes: int = 0
     artifact_builds: int = 0
     build_waits: int = 0
     build_concurrency_peak: int = 0
-    sessions: int = 0
     deltas_applied: int = 0
     noop_deltas: int = 0
     incremental_encodes: int = 0
@@ -183,11 +257,11 @@ class StoreStats:
 
     def as_dict(self) -> dict:
         return {
+            **{name: getattr(self, name) for name in self.WORK},
             "database_encodes": self.database_encodes,
             "artifact_builds": self.artifact_builds,
             "build_waits": self.build_waits,
             "build_concurrency_peak": self.build_concurrency_peak,
-            "sessions": self.sessions,
             "deltas_applied": self.deltas_applied,
             "noop_deltas": self.noop_deltas,
             "incremental_encodes": self.incremental_encodes,
@@ -254,14 +328,16 @@ class _RequestMap:
 
 
 class ArtifactStore:
-    """Shared, read-only-once-built artifacts for one database.
+    """Amortized direct access for repeated requests over one database.
+
+    Artifacts are read-only once built and shared by every request.
 
     Args:
         database: the served database (a :class:`Database` or a plain
             mapping of relation names to tuple iterables, converted).
         engine: execution engine (name, instance, or ``None`` for a
             fresh instance of the process-global active engine's kind);
-            every attached session serves with this engine, so cached
+            every request is served with this engine, so cached
             artifacts are internally consistent.
         capacity: per-kind cache capacity (``None`` = unbounded,
             ``0`` = caching disabled).
@@ -311,8 +387,9 @@ class ArtifactStore:
         self._pending_releases: deque[int] = deque()
         self.engine = resolve_engine(engine)
         self.stats = StoreStats()
-        # Short-held: protects the cache maps, the build-lock registry,
-        # and stats — never held across a build or an engine call.
+        # Short-held: protects the cache maps, the request map, the
+        # build-lock registry, and every counter — never held across a
+        # build or an engine call.
         self._registry_lock = threading.Lock()
         # Serializes whole mutations (the engine's delta application
         # runs outside the registry lock; two racing deltas must not
@@ -374,11 +451,18 @@ class ArtifactStore:
     def database_at(self, version: int) -> Database:
         """The retained database for ``version`` — the head, or an
         MVCC snapshot.  Raises :class:`~repro.errors.StaleViewError`
-        when the snapshot was evicted."""
+        when the snapshot was evicted or the version is ahead of the
+        head (a client that outlived a restart without a WAL)."""
         self._drain_releases()
         with self._registry_lock:
             if version == self._db_version:
                 return self._database
+            if version > self._db_version:
+                raise StaleViewError(
+                    f"db_version {version} is ahead of the head "
+                    f"({self._db_version}); re-prepare the query for "
+                    "a fresh view"
+                )
             database = self.snapshots.get(version)
             if database is None:
                 raise StaleViewError(
@@ -444,22 +528,26 @@ class ArtifactStore:
 
     # -- the request map ---------------------------------------------------
 
-    def lookup(self, version: int, request, extra: CacheStats | None = None):
+    def lookup(self, version: int, request):
         """The ``access`` artifact ``request`` resolved to at
         ``version``, or ``None`` when that key is cold.
 
         ``request`` is what a read names — (query, order, prefix,
         projected) as given — so a warm read skips parsing, planning
-        and key derivation.  A hit counts as an ``access`` hit (store
-        aggregate and ``extra``); a miss counts nothing, because the
-        caller's cold path does its own counted lookup.
+        and key derivation.  A hit counts one served request and one
+        ``access`` hit, in the same critical section as the lookup; a
+        miss counts nothing, because the caller's cold path does its
+        own counting.
         """
         self._drain_releases()
         with self._registry_lock:
             key = self._requests.get(version, request)
             if key is None:
                 return None
-            return self._caches["access"].get((version, key), extra)
+            access = self._caches["access"].get((version, key))
+            if access is not None:
+                self.stats.requests += 1
+            return access
 
     def remember(self, version: int, request, key) -> None:
         """Map ``request`` at ``version`` to the resident ``access``
@@ -476,15 +564,6 @@ class ArtifactStore:
         number of resident ``access`` artifacts)."""
         with self._registry_lock:
             return len(self._requests)
-
-    # -- sessions ----------------------------------------------------------
-
-    def session(self):
-        """A cheap :class:`~repro.session.AccessSession` attached to
-        this store (own counters, shared artifacts)."""
-        from repro.session.session import AccessSession
-
-        return AccessSession(self)
 
     # -- the build protocol ------------------------------------------------
 
@@ -539,24 +618,16 @@ class ArtifactStore:
                 if dep in live
             }
 
-    def get(
-        self,
-        kind: str,
-        key,
-        extra: CacheStats | None = None,
-        version: int | None = None,
-    ):
-        """Cached artifact or ``None``; counts a hit/miss in the store
-        aggregate and in the caller's ``extra`` stats.  ``version``
-        defaults to the current database version."""
+    def get(self, kind: str, key, version: int | None = None):
+        """Cached artifact or ``None``; counts a hit or a miss.
+        ``version`` defaults to the current database version."""
         with self._registry_lock:
             if version is None:
                 version = self._db_version
-            return self._caches[kind].get((version, key), extra)
+            return self._caches[kind].get((version, key))
 
     def put(
         self, kind: str, key, value, cost=0,
-        extra: CacheStats | None = None,
         version: int | None = None,
         relations=DEPENDS_ON_ALL,
     ) -> None:
@@ -572,9 +643,7 @@ class ArtifactStore:
         with self._registry_lock:
             if version is None:
                 version = self._db_version
-            self._caches[kind].put(
-                (version, key), value, cost=cost, extra=extra
-            )
+            self._caches[kind].put((version, key), value, cost=cost)
             self._record_deps(kind, version, key, relations)
 
     def contains(
@@ -593,7 +662,6 @@ class ArtifactStore:
         key,
         builder,
         cost=0,
-        extra: CacheStats | None = None,
         counted: bool = False,
         version: int | None = None,
         relations=DEPENDS_ON_ALL,
@@ -617,7 +685,7 @@ class ArtifactStore:
             if counted:
                 value = self._caches[kind].peek(vkey)
             else:
-                value = self._caches[kind].get(vkey, extra)
+                value = self._caches[kind].get(vkey)
         if value is not None:
             return value
         while True:
@@ -655,11 +723,316 @@ class ArtifactStore:
                             self._building -= 1
                 with self._registry_lock:
                     self.stats.artifact_builds += 1
-                    self._caches[kind].put(
-                        vkey, value, cost=cost, extra=extra
-                    )
+                    self._caches[kind].put(vkey, value, cost=cost)
                     self._record_deps(kind, version, key, relations)
                 return value
+
+    # -- planning ----------------------------------------------------------
+
+    #: Cache-aware planning inspects at most this many tied-optimal
+    #: candidates per plan; beyond it (symmetric queries tie
+    #: factorial-many orders) extra candidates add LP solves and memory
+    #: but no real planning signal.
+    PLAN_WINDOW = 16
+
+    def _ranked(
+        self,
+        query: JoinQuery,
+        prefix: VariableOrder | None,
+        version: int | None = None,
+    ) -> list[OrderReport]:
+        key = (
+            query.signature(),
+            tuple(prefix) if prefix is not None else None,
+        )
+
+        def build_plan() -> list[OrderReport]:
+            with self._registry_lock:
+                self.stats.advisor_calls += 1
+            # limit streams via heapq.nsmallest: only PLAN_WINDOW
+            # reports are ever retained, not the factorial ranking.
+            ranked = (
+                rank_orders(query, limit=self.PLAN_WINDOW)
+                if prefix is None
+                else rank_orders_with_prefix(
+                    query, prefix, limit=self.PLAN_WINDOW
+                )
+            )
+            # Keep only the candidates plan() can ever pick — those
+            # tied at the optimum, capped at PLAN_WINDOW (symmetric
+            # queries can tie factorial-many orders) — and attach their decompositions for key
+            # lookups and cache-free serving.  The <= PLAN_WINDOW
+            # rebuilds duplicate work _rank discarded, but next to the
+            # factorial ranking itself that is noise, and it keeps the
+            # advisor API free of a retain-decompositions mode.
+            best = ranked[0].iota
+            return [
+                replace(
+                    report,
+                    decomposition=self._decomposition_for(
+                        key[0], query, report.order, version
+                    ),
+                )
+                for report in ranked
+                if report.iota == best
+            ]
+
+        # Plans are data-independent (``relations=None``): a delta
+        # carries them to the new version instead of invalidating.
+        return self.get_or_build(
+            "plans", key, build_plan, version=version, relations=None,
+        )
+
+    def _decomposition_for(
+        self,
+        signature,
+        query: JoinQuery,
+        order: VariableOrder,
+        version: int | None = None,
+    ) -> DisruptionFreeDecomposition:
+        key = (signature, tuple(order))
+        return self.get_or_build(
+            "decompositions",
+            key,
+            lambda: DisruptionFreeDecomposition(query, order),
+            version=version,
+            relations=None,
+        )
+
+    def plan(
+        self,
+        query: JoinQuery,
+        prefix: VariableOrder | None = None,
+        version: int | None = None,
+    ) -> OrderReport:
+        """The order the store would serve ``query`` with.
+
+        The cheapest order by incompatibility number — among orders
+        tied at the optimum, one whose decomposition already sits in the
+        store is preferred (its preprocessing is free).
+        """
+        if prefix is not None:
+            prefix = _as_order(prefix)
+        ranked = self._ranked(query, prefix, version)
+        best = ranked[0]
+        signature = query.signature()
+        for report in ranked:
+            key = self._preprocessing_key(
+                signature, report.decomposition
+            )
+            if self.contains("preprocessing", key, version=version):
+                if report is not best:
+                    with self._registry_lock:
+                        self.stats.cache_preferred_orders += 1
+                return report
+        return best
+
+    def _preprocessing_key(
+        self, signature, decomposition: DisruptionFreeDecomposition
+    ) -> tuple:
+        return (
+            signature,
+            decomposition.cache_key(),
+            self.engine.name,
+        )
+
+    # -- serving -----------------------------------------------------------
+
+    def access(
+        self,
+        query: JoinQuery | str,
+        order=None,
+        prefix=None,
+        projected: frozenset[str] | set[str] = frozenset(),
+    ) -> DirectAccess:
+        """A (possibly cached) :class:`DirectAccess` for the request.
+
+        Args:
+            query: a :class:`JoinQuery` or its textual form.
+            order: the full variable order; ``None`` lets the advisor
+                choose (cache-aware, see :meth:`plan`).
+            prefix: with ``order=None``, a required order prefix — the
+                advisor picks the cheapest completion (Definition 49).
+            projected: variables to project away; must form a suffix of
+                ``order`` (explicit orders only — the planner currently
+                serves full join queries).
+        """
+        return self.access_versioned(
+            query, order=order, prefix=prefix, projected=projected
+        )[0]
+
+    def access_versioned(
+        self,
+        query: JoinQuery | str,
+        order=None,
+        prefix=None,
+        projected: frozenset[str] | set[str] = frozenset(),
+        at_version: int | None = None,
+    ) -> tuple[DirectAccess, int]:
+        """:meth:`access` plus the database version it was served at.
+
+        The ``(db_version, database)`` pair is snapshotted once at
+        request start, so a delta applied mid-request cannot mix
+        versions: the returned structure consistently reflects the
+        snapshot, and the version lets callers (the facade's
+        :class:`~repro.facade.AnswerView`) pin it for staleness
+        detection.  ``at_version`` serves the request against a
+        *retained MVCC snapshot* instead of the head — version-pinned
+        wire reads ride this; it raises
+        :class:`~repro.errors.StaleViewError` when the snapshot was
+        evicted or the version is ahead of the head.
+
+        A request resolved before at the served version is warm: one
+        :meth:`lookup` in the request map returns the structure without
+        parsing, planning or building.  Only a cold request runs the
+        parser, the planner and the builds.
+        """
+        # Normalized once: order and prefix may be lazy iterables.
+        if order is not None:
+            order = tuple(order)
+        if prefix is not None:
+            prefix = tuple(prefix)
+        projected = frozenset(projected)
+        request = (query, order, prefix, projected)
+        warm_version = (
+            self._db_version if at_version is None else at_version
+        )
+        access = self.lookup(warm_version, request)
+        if access is not None:
+            return access, warm_version
+        if isinstance(query, str):
+            query = parse_query(query)
+        decomposition: DisruptionFreeDecomposition | None = None
+        if prefix is not None:
+            prefix = _as_order(prefix)
+        if order is not None:
+            order = _as_order(order)
+            wanted = list(prefix) if prefix is not None else []
+            if wanted and list(order)[: len(wanted)] != wanted:
+                raise OrderError(
+                    f"order {list(order)} does not start with the "
+                    f"requested prefix {wanted}"
+                )
+        elif projected:
+            raise OrderError(
+                "projected access needs an explicit order (the "
+                "planner serves full join queries)"
+            )
+        with self._registry_lock:
+            self.stats.requests += 1
+        if at_version is None:
+            version, database = self.current()
+        else:
+            version = at_version
+            database = self.database_at(at_version)
+        if order is None:
+            report = self.plan(query, prefix, version)
+            order = report.order
+            decomposition = report.decomposition
+        signature = query.signature()
+        relations = frozenset(query.relation_symbols)
+        access_key = (signature, tuple(order), projected)
+        access = self.get("access", access_key, version=version)
+        if access is not None:
+            self.remember(version, request, access_key)
+            return access, version
+        if decomposition is None:
+            decomposition = self._decomposition_for(
+                signature, query, order, version
+            )
+        iota = decomposition.incompatibility_number
+        access = self.get_or_build(
+            "access",
+            access_key,
+            lambda: self._build(
+                query, order, projected, decomposition, signature,
+                database, version, relations,
+            ),
+            cost=iota,
+            counted=True,  # the get() above recorded this miss
+            version=version,
+            relations=relations,
+        )
+        self.remember(version, request, access_key)
+        return access, version
+
+    def _build(
+        self,
+        query: JoinQuery,
+        order: VariableOrder,
+        projected: frozenset[str],
+        decomposition: DisruptionFreeDecomposition,
+        signature,
+        database: Database,
+        version: int,
+        relations: frozenset[str],
+    ) -> DirectAccess:
+        preprocessing_key = self._preprocessing_key(
+            signature, decomposition
+        )
+        forest_key = preprocessing_key + (projected,)
+        iota = decomposition.incompatibility_number
+        with use_engine(self.engine):
+
+            def build_bags():
+                preprocessing = Preprocessing(
+                    query, order, database,
+                    decomposition=decomposition,
+                    patch_from=self.take_base(
+                        "preprocessing", preprocessing_key, version
+                    ),
+                )
+                with self._registry_lock:
+                    self.stats.bag_materializations += (
+                        preprocessing.materialized_bag_count
+                    )
+                    self.stats.bag_patches += (
+                        preprocessing.patched_bag_count
+                    )
+                return preprocessing.bag_tables()
+
+            bag_tables = self.get_or_build(
+                "preprocessing",
+                preprocessing_key,
+                build_bags,
+                cost=iota,
+                version=version,
+                relations=relations,
+            )
+            # With the tables in hand, re-assembling Preprocessing is a
+            # pointer rewire — zero materializations, any order of the
+            # shared decomposition.
+            preprocessing = Preprocessing(
+                query, order, database,
+                decomposition=decomposition,
+                bag_tables=bag_tables,
+            )
+
+            def build_forest():
+                base = self.take_base("forest", forest_key, version)
+                access = DirectAccess(
+                    query, order, database, projected,
+                    preprocessing=preprocessing,
+                    base_forest=None if base is None else base[0],
+                )
+                with self._registry_lock:
+                    self.stats.forest_builds += access.built_bag_count
+                    self.stats.forest_patches += access.patched_bag_count
+                return access.forest
+
+            forest = self.get_or_build(
+                "forest",
+                forest_key,
+                build_forest,
+                cost=iota,
+                version=version,
+                relations=relations,
+            )
+            return DirectAccess(
+                query, order, database, projected,
+                preprocessing=preprocessing,
+                forest=forest,
+            )
 
     # -- mutations ---------------------------------------------------------
 
@@ -823,8 +1196,10 @@ class ArtifactStore:
         return self._caches[kind]
 
     def cache_stats(self) -> dict:
-        """A plain-dict snapshot of the store-level counters (plus the
-        MVCC plane's, and the WAL's when one is attached)."""
+        """A plain-dict snapshot of every counter (plus the MVCC
+        plane's, and the WAL's when one is attached), taken in one
+        critical section, so it is safe to read while other threads
+        serve requests."""
         self._drain_releases()
         with self._registry_lock:
             out = self.stats.as_dict()

@@ -1,4 +1,4 @@
-"""Session-scoped caches and their observability counters.
+"""The artifact caches and their hit/miss/eviction counters.
 
 The serving layer amortizes its artifacts across requests, each kind in
 its own bounded cache (so a long-lived serving process cannot grow
@@ -11,7 +11,7 @@ without limit):
 * assembled :class:`~repro.core.access.DirectAccess` structures, keyed
   by the exact (query, order, projected) request.
 
-:class:`CostAwareCache` is the one cache: the shared
+:class:`CostAwareCache` is the one cache: the
 :class:`~repro.session.artifacts.ArtifactStore` keeps its preprocessing
 artifacts in it.  Each entry carries its *rebuild cost* — the
 decomposition exponent ``ι`` of Theorem 44, known exactly before any
@@ -21,21 +21,21 @@ counting forest to keep three ``O(|D|)`` ones is how a plain LRU
 thrashes a serving workload; the exponent is a better oracle than
 recency because the paper makes it a *certainty*, not a heuristic.
 
-:class:`CacheStats` counts hits/misses/evictions per cache plus the
-tuple-level work actually performed (bag materializations, forest
-builds), so tests and operators can verify that a warm request did zero
-preprocessing.
+:class:`CacheStats` counts hits/misses/evictions per cache; next to the
+store's tuple-level work counters (bag materializations, forest builds,
+:class:`~repro.session.artifacts.StoreStats`) they let tests and
+operators verify that a warm request did zero preprocessing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class CacheStats:
-    """Counters exposed by :meth:`repro.session.AccessSession.cache_stats`."""
+    """Hit/miss/eviction counters of one :class:`CostAwareCache`."""
 
     hits: int = 0
     misses: int = 0
@@ -46,59 +46,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-        }
-
-
-@dataclass
-class SessionStats:
-    """Aggregate observability for one :class:`AccessSession`.
-
-    ``bag_materializations`` / ``forest_builds`` count *work done*, not
-    lookups: a request served entirely from cache leaves both untouched
-    — the property the acceptance tests pin down.  They count bag
-    relations and bag indexes built **from scratch**.  The first read
-    after a write can instead derive them from the previous version's
-    (numpy engine, code-stable delta): ``bag_patches`` counts bag
-    relations moved forward by the delta rule — every bag reading a
-    touched relation — and ``forest_patches`` bag indexes patched in
-    place of a build.  A bag that reads no touched relation is shared
-    with the previous version and counts in neither; a patch that falls
-    back (renumbering delta, python engine, object-dtype weights, a
-    missing base) counts in the from-scratch pair.
-
-    Instances are mutated only under the owning session's ``RLock``;
-    :meth:`snapshot` (taken through
-    :meth:`~repro.session.AccessSession.cache_stats`, which holds that
-    lock) therefore returns an internally consistent plain-dict copy.
-    """
-
-    preprocessing: CacheStats = field(default_factory=CacheStats)
-    forest: CacheStats = field(default_factory=CacheStats)
-    access: CacheStats = field(default_factory=CacheStats)
-    plans: CacheStats = field(default_factory=CacheStats)
-    decompositions: CacheStats = field(default_factory=CacheStats)
-    bag_materializations: int = 0
-    forest_builds: int = 0
-    bag_patches: int = 0
-    forest_patches: int = 0
-    requests: int = 0
-    advisor_calls: int = 0
-    cache_preferred_orders: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "advisor_calls": self.advisor_calls,
-            "cache_preferred_orders": self.cache_preferred_orders,
-            "bag_materializations": self.bag_materializations,
-            "forest_builds": self.forest_builds,
-            "bag_patches": self.bag_patches,
-            "forest_patches": self.forest_patches,
-            "preprocessing": self.preprocessing.as_dict(),
-            "forest": self.forest.as_dict(),
-            "access": self.access.as_dict(),
-            "plans": self.plans.as_dict(),
-            "decompositions": self.decompositions.as_dict(),
         }
 
 
@@ -128,10 +75,7 @@ class CostAwareCache:
         >>> stats.evictions
         1
 
-    Lookups can attribute hit/miss counters to a *second* per-caller
-    :class:`CacheStats` (``extra``) on top of the cache's own aggregate
-    — this is how each session keeps its own counters over one shared
-    store.  The class itself is not locked; the owning
+    The class itself is not locked; the owning
     :class:`~repro.session.artifacts.ArtifactStore` serializes access
     behind its registry lock.
     """
@@ -182,27 +126,22 @@ class CostAwareCache:
         cost = self._costs.pop(key, 0)
         return value, cost
 
-    def get(self, key, extra: CacheStats | None = None):
+    def get(self, key):
         """The cached value, or ``None`` on a miss (values are never
-        ``None``); counts into the aggregate stats and, if given, the
-        caller's ``extra`` stats."""
+        ``None``); counts a hit or a miss."""
         try:
             value = self._entries[key]
         except KeyError:
             self.stats.misses += 1
-            if extra is not None:
-                extra.misses += 1
             return None
         self._entries.move_to_end(key)
         # A hit renews the entry's credit at the current clock: recently
         # useful entries stay ahead of the aging front.
         self._touched[key] = self._clock
         self.stats.hits += 1
-        if extra is not None:
-            extra.hits += 1
         return value
 
-    def put(self, key, value, cost=0, extra: CacheStats | None = None) -> None:
+    def put(self, key, value, cost=0) -> None:
         if self.capacity == 0:
             return
         self._entries[key] = value
@@ -211,12 +150,12 @@ class CostAwareCache:
         self._touched[key] = self._clock
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
-                self._evict_one(extra)
+                self._evict_one()
 
     def _credit(self, key):
         return self._touched[key] + self._costs[key]
 
-    def _evict_one(self, extra: CacheStats | None) -> None:
+    def _evict_one(self) -> None:
         # Victim: minimum credit; ties go to the least recently used
         # (OrderedDict iterates oldest first, so the first minimum wins).
         victim = min(self._entries, key=self._credit)
@@ -225,8 +164,6 @@ class CostAwareCache:
         del self._touched[victim]
         del self._costs[victim]
         self.stats.evictions += 1
-        if extra is not None:
-            extra.evictions += 1
         if self._on_evict is not None:
             self._on_evict(victim)
 

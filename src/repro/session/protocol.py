@@ -77,7 +77,7 @@ OP_SUMMARIES = {
     "page": "one page of ranked answers (page_number, page_size)",
     "plan": "the order the cache-aware advisor would serve with",
     "rank": "inverse access: the index of an answer tuple, or null",
-    "stats": "the serving session's counters and shared-store stats",
+    "stats": "the store's request, work and cache counters",
     "quit": "end an in-band stream (transports decide what follows)",
 }
 assert set(OP_SUMMARIES) == OPS

@@ -12,7 +12,6 @@ from repro.joins.generic_join import evaluate
 from repro.query.atoms import Atom
 from repro.query.query import JoinQuery
 from repro.query.variable_order import VariableOrder
-from repro.session.artifacts import ArtifactStore
 
 
 def lex_answers(
@@ -80,13 +79,6 @@ def read_reply(stream):
         headers.append((name, value.strip()))
     body = stream.read(int(dict(headers)["Content-Length"]))
     return status_line, headers, body, raw + body
-
-
-def make_session(database, engine=None, capacity=64):
-    """An :class:`~repro.session.AccessSession` over its own fresh
-    store — what :func:`repro.connect` builds behind a connection."""
-    store = ArtifactStore(database, engine=engine, capacity=capacity)
-    return store.session()
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
-"""The shared artifact store: per-artifact build locks, cost-informed
-eviction, per-worker sessions over one store.
+"""The artifact store: per-artifact build locks, cost-informed
+eviction, and the threading law of one store served by many threads.
 
 This is the concurrency backbone of ``repro serve``
 (tests/test_server.py exercises it over HTTP; here it is pinned down
@@ -8,6 +8,7 @@ at the library layer where failures are easiest to localize).
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from repro.session import (
     CacheStats,
     CostAwareCache,
 )
+from tests.conftest import lex_answers
 
 STAR = "Q(x, y, z, w) :- R(x, y), S(x, z), T(x, w)"
 PATH = "Q(x, y, z) :- R(x, y), S(y, z)"
@@ -66,15 +68,14 @@ class TestCostAwareCache:
         cache.put("d", 4, cost=1)  # now c is the victim, not hot b
         assert "b" in cache and "c" not in cache
 
-    def test_stats_attribution_aggregate_and_extra(self):
-        aggregate, mine = CacheStats(), CacheStats()
-        cache = CostAwareCache(4, aggregate)
+    def test_get_counts_hits_and_misses(self):
+        stats = CacheStats()
+        cache = CostAwareCache(4, stats)
         cache.put("k", "v")
-        assert cache.get("k", extra=mine) == "v"
-        assert cache.get("absent", extra=mine) is None
-        assert cache.get("k") == "v"  # no extra: aggregate only
-        assert (aggregate.hits, aggregate.misses) == (2, 1)
-        assert (mine.hits, mine.misses) == (1, 1)
+        assert cache.get("k") == "v"
+        assert cache.get("absent") is None
+        assert cache.get("k") == "v"
+        assert (stats.hits, stats.misses) == (2, 1)
 
     def test_peek_and_contains_touch_nothing(self):
         stats = CacheStats()
@@ -104,14 +105,6 @@ class TestCostAwareCache:
 
 
 class TestArtifactStore:
-    def test_database_encoded_once_across_sessions(self):
-        store = ArtifactStore(path_database())
-        sessions = [store.session() for _ in range(4)]
-        for session in sessions:
-            session.access(PATH, order=["x", "y", "z"])
-        assert store.stats.database_encodes == 1
-        assert store.stats.sessions == 4
-
     def test_mapping_database_converted(self):
         store = ArtifactStore({"R": {(1, 2)}})
         assert isinstance(store.database, Database)
@@ -248,8 +241,7 @@ class TestArtifactStore:
 
     def test_clear_drops_artifacts_keeps_counters_and_encoding(self):
         store = ArtifactStore(path_database())
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])
+        store.access(PATH, order=["x", "y", "z"])
         builds = store.stats.artifact_builds
         assert builds > 0
         store.clear()
@@ -257,50 +249,111 @@ class TestArtifactStore:
         assert store.stats.artifact_builds == builds
         assert store.stats.database_encodes == 1
         # And serving still works after the wipe.
-        assert len(session.access(PATH, order=["x", "y", "z"])) == 5
+        assert len(store.access(PATH, order=["x", "y", "z"])) == 5
 
-    def test_shared_session_clear_leaves_siblings_warm(self):
+    def test_connection_clears_the_store_it_wraps(self):
+        """A connection owns its store, however it was built:
+        ``clear_cache`` and ``close`` empty it."""
         store = ArtifactStore(path_database())
-        worker_a, worker_b = store.session(), store.session()
-        worker_a.access(PATH, order=["x", "y", "z"])
-        # A connection attached to a shared store (a server worker's)
-        # must NOT wipe it: only the connect()-made owner clears.
-        attached = Connection(worker_a)
-        attached.clear_cache()
-        attached.close()
-        worker_b.access(PATH, order=["x", "y", "z"])
-        assert worker_b.stats.bag_materializations == 0
-        assert worker_b.stats.access.hits == 1
-
-    def test_per_worker_counters_shared_artifacts(self):
-        query = parse_query(STAR)
-        database = Database(
-            {
-                "R": {(m, v) for m in range(2) for v in range(8)},
-                "S": {(m, v) for m in range(2) for v in range(8)},
-                "T": {(m, v) for m in range(2) for v in range(8)},
-            }
-        )
-        store = ArtifactStore(database)
-        cold, warm = store.session(), store.session()
-        cold.access(query, order=["x", "y", "z", "w"])
-        # A sibling order on the *other* worker: same decomposition,
-        # zero new tuple work, and the reuse shows up in the warm
-        # worker's own counters.
-        warm.access(query, order=["x", "w", "z", "y"])
-        assert cold.stats.bag_materializations == 4
-        assert warm.stats.bag_materializations == 0
-        assert warm.stats.preprocessing.hits == 1
-        assert warm.stats.forest.hits == 1
-        # The store aggregate saw both workers.
-        assert store.stats.preprocessing.hits >= 1
-        assert store.stats.preprocessing.misses >= 1
+        conn = Connection(store)
+        conn.prepare(PATH, order=["x", "y", "z"])
+        cold = conn.stats()["bag_materializations"]
+        assert cold > 0
+        conn.clear_cache()
+        conn.prepare(PATH, order=["x", "y", "z"])
+        assert conn.stats()["bag_materializations"] == 2 * cold
+        conn.close()
+        assert len(store.cache("preprocessing")) == 0
 
     def test_store_repr_and_session_stats_nest_store(self):
         store = ArtifactStore(path_database())
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])
+        conn = Connection(store)
+        conn.prepare(PATH, order=["x", "y", "z"])
         assert "ArtifactStore" in repr(store)
-        stats = session.cache_stats()
+        stats = conn.stats()
+        assert stats["store"] == store.cache_stats()
         assert stats["store"]["database_encodes"] == 1
         assert stats["store"]["artifact_builds"] >= 1
+
+
+class TestThreadingLaw:
+    """One store, one connection, many threads: every counter is exact."""
+
+    THREADS = 8
+    ROUNDS = 8
+    # Sibling orders of STAR: one decomposition, four access structures.
+    ORDERS = (
+        ("x", "y", "z", "w"),
+        ("x", "w", "z", "y"),
+        ("x", "z", "y", "w"),
+        ("x", "z", "w", "y"),
+    )
+
+    @staticmethod
+    def star_database() -> Database:
+        rows = {(m, v) for m in range(3) for v in range(6)}
+        return Database({"R": rows, "S": rows, "T": rows})
+
+    def test_counters_are_exact_under_concurrency(self):
+        database = self.star_database()
+        query = parse_query(STAR)
+        oracle = {
+            order: lex_answers(query, database, order)
+            for order in self.ORDERS
+        }
+        conn = Connection(ArtifactStore(database, capacity=None))
+        # One warm order before the race; the others start cold.
+        conn.prepare(STAR, order=self.ORDERS[0])
+        barrier = threading.Barrier(self.THREADS, timeout=10)
+        served: list[tuple] = []
+        errors: list[BaseException] = []
+
+        def worker(index):
+            try:
+                barrier.wait()
+                for round_ in range(self.ROUNDS):
+                    # Even threads keep reading the warm order; odd
+                    # threads walk the cold siblings.
+                    order = self.ORDERS[
+                        0 if index % 2 == 0
+                        else (index + round_) % len(self.ORDERS)
+                    ]
+                    view = conn.prepare(STAR, order=order)
+                    served.append((order, list(view)))
+                    view.close()
+            except BaseException as error:  # noqa: BLE001 (collected)
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        # A short switch interval makes a lost counter update likely
+        # if any increment ran outside the registry lock.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        calls = 1 + self.THREADS * self.ROUNDS
+        assert len(served) == calls - 1
+        for order, answers in served:
+            assert answers == oracle[order], order
+        stats = conn.stats()
+        store = stats["store"]
+        assert stats["requests"] == calls
+        assert (
+            stats["access"]["hits"] + stats["access"]["misses"]
+            == stats["requests"]
+        )
+        assert store["database_encodes"] == 1
+        # One decomposition and one access structure per order; the
+        # bag tables and the counting forest are shared by all four.
+        assert store["artifact_builds"] == 2 * len(self.ORDERS) + 2
+        assert stats["bag_materializations"] == 4

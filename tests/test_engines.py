@@ -33,7 +33,7 @@ from repro.engine import (
 from repro.errors import EngineError
 from repro.joins.generic_join import evaluate, generic_join
 from repro.joins.operators import Table
-from tests.conftest import make_session
+from repro.session.artifacts import ArtifactStore
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not installed"
@@ -101,7 +101,7 @@ def test_direct_access_differential(query_text):
 def test_session_differential(query_text):
     """Session-served access (cold and warm) agrees across engines.
 
-    Each engine gets its own session over the same database; every
+    Each engine gets its own store over the same database; every
     request is served twice — the repeat must come from the cache and
     still observe identical answers, so this differentially tests the
     cache layers, not just the engines.
@@ -117,10 +117,10 @@ def test_session_differential(query_text):
     ]
     observations = {}
     for engine in ("python", "numpy"):
-        session = make_session(database, engine=engine)
+        store = ArtifactStore(database, engine=engine)
         trace = []
         for order in orders + orders:  # second half: warm requests
-            access = session.access(query, order=order)
+            access = store.access(query, order=order)
             trace.append(
                 (
                     len(access),
@@ -128,7 +128,7 @@ def test_session_differential(query_text):
                     access.answers_at(range(len(access))),
                 )
             )
-        trace.append(session.stats.bag_materializations)
+        trace.append(store.stats.bag_materializations)
         observations[engine] = trace
     assert observations["python"] == observations["numpy"], (
         f"sessions disagree on {query_text}"

@@ -320,7 +320,7 @@ class TestPublicSurface:
         import repro
 
         assert set(repro.__all__) == {
-            "AccessSession", "AnswerTester", "AnswerView", "Atom",
+            "AnswerTester", "AnswerView", "Atom",
             "ConjunctiveQuery", "Connection", "Database", "Delta",
             "DisruptionFreeDecomposition", "EncodedDatabase",
             "EngineError", "JoinQuery", "NotAnAnswerError",
@@ -338,7 +338,8 @@ class TestPublicSurface:
         assert len(repro.__all__) == len(set(repro.__all__))
 
     @pytest.mark.parametrize(
-        "name", ["DirectAccess", "Preprocessing", "DoesNotExist"]
+        "name",
+        ["AccessSession", "DirectAccess", "Preprocessing", "DoesNotExist"],
     )
     def test_removed_entry_points_raise_attribute_error(self, name):
         import repro
@@ -356,10 +357,17 @@ class TestPublicSurface:
         }
 
     def test_session_is_built_from_a_store(self):
-        from repro import AccessSession
+        """One object per database: a connection wraps its store, and
+        the store is the serving session."""
+        import repro.session
+        from repro.session import ArtifactStore
 
-        parameters = inspect.signature(AccessSession.__init__).parameters
+        parameters = inspect.signature(Connection.__init__).parameters
         assert list(parameters) == ["self", "store"]
+        store = ArtifactStore({"R": {(1, 2)}})
+        assert Connection(store).session is store
+        assert "SessionStats" not in repro.session.__all__
+        assert not hasattr(repro.session, "AccessSession")
 
     def test_staleness_contract_has_no_switch(self):
         """MVCC-retained snapshots with StaleViewError on eviction is
@@ -370,8 +378,8 @@ class TestPublicSurface:
 
         forbidden = ("strict", "cache_slack", "stats_per_worker")
         for factory in (
-            connect, ArtifactStore, ArtifactStore.session, ReproServer,
-            AsyncReproServer, ServingCore,
+            connect, ArtifactStore, ReproServer, AsyncReproServer,
+            ServingCore,
         ):
             parameters = inspect.signature(factory).parameters
             assert not [

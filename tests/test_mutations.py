@@ -804,9 +804,8 @@ class TestVersionedStore:
         artifacts of a query over T/U are served from cache — the
         generation counters prove no rebuild happened."""
         store = ArtifactStore(fresh_database())
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])
-        session.access(DISJOINT, order=["u", "v", "w"])
+        store.access(PATH, order=["x", "y", "z"])
+        store.access(DISJOINT, order=["u", "v", "w"])
         builds_before = store.stats.artifact_builds
         store.apply(Delta(inserts={"R": {(90, 2)}}))
         stats = store.cache_stats()
@@ -816,31 +815,29 @@ class TestVersionedStore:
         # ... while the R-touching artifacts were invalidated.
         assert stats["artifacts_invalidated"] >= 3
         # Warm re-access of the untouched decomposition: zero builds.
-        warm = store.session()
-        warm.access(DISJOINT, order=["u", "v", "w"])
+        materialized = store.stats.bag_materializations
+        hits = store.stats.access.hits
+        store.access(DISJOINT, order=["u", "v", "w"])
         assert store.stats.artifact_builds == builds_before
-        assert warm.stats.bag_materializations == 0
-        assert warm.stats.access.hits == 1
+        assert store.stats.bag_materializations == materialized
+        assert store.stats.access.hits == hits + 1
         # The touched query rebuilds against the new database.
-        touched = store.session()
-        access = touched.access(PATH, order=["x", "y", "z"])
+        access = store.access(PATH, order=["x", "y", "z"])
         assert store.stats.artifact_builds > builds_before
         assert (90, 2, 7) in iter_rows(access)
 
     def test_plans_are_carried_across_versions(self):
         store = ArtifactStore(fresh_database())
-        session = store.session()
-        session.plan(parse_query(PATH))
+        store.plan(parse_query(PATH))
         store.apply(Delta(inserts={"R": {(50, 51)}}))
-        session.plan(parse_query(PATH))
-        assert session.stats.advisor_calls == 1  # no re-plan
+        store.plan(parse_query(PATH))
+        assert store.stats.advisor_calls == 1  # no re-plan
 
     def test_old_version_artifacts_are_not_served(self):
         store = ArtifactStore(fresh_database())
-        session = store.session()
-        before = session.access(PATH, order=["x", "y", "z"])
+        before = store.access(PATH, order=["x", "y", "z"])
         store.apply(Delta(deletes={"R": {(1, 2)}}))
-        after = session.access(PATH, order=["x", "y", "z"])
+        after = store.access(PATH, order=["x", "y", "z"])
         assert len(after) == len(before) - 2  # (1,2,7) and (1,2,9)
         # The pre-delta structure still answers from its snapshot.
         assert len(before) == 5
@@ -895,8 +892,7 @@ class TestVersionedStore:
         anything (the HTTP client ships no op for it, so local and
         remote apply must agree)."""
         store = ArtifactStore(fresh_database())
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])
+        store.access(PATH, order=["x", "y", "z"])
         assert store.apply(Delta()) == 0
         stats = store.cache_stats()
         assert stats["deltas_applied"] == 0

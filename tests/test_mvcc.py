@@ -94,13 +94,16 @@ class TestStoreMVCC:
         store.apply(Delta(inserts={"R": {(9, 9)}}))
         assert store.database_at(1) is store.database
         assert store.database_at(0) == head
-        with pytest.raises(StaleViewError, match="evicted"):
+        with pytest.raises(StaleViewError, match="ahead of the head"):
             store.database_at(99)
+        narrow = ArtifactStore(fresh_database(), retain_versions=1)
+        narrow.apply(Delta(inserts={"R": {(9, 9)}}))
+        with pytest.raises(StaleViewError, match="evicted"):
+            narrow.database_at(0)
 
     def test_window_eviction_gcs_old_artifacts(self):
         store = ArtifactStore(fresh_database(), retain_versions=1)
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])  # caches at v0
+        store.access(PATH, order=["x", "y", "z"])  # caches at v0
         store.apply(Delta(inserts={"R": {(9, 9)}}))
         stats = store.cache_stats()
         assert stats["mvcc"]["retained"] == 1  # only the head
@@ -110,8 +113,7 @@ class TestStoreMVCC:
 
     def test_pinned_version_retains_artifacts_until_release(self):
         store = ArtifactStore(fresh_database(), retain_versions=1)
-        session = store.session()
-        session.access(PATH, order=["x", "y", "z"])
+        store.access(PATH, order=["x", "y", "z"])
         assert store.pin_version(0)
         store.apply(Delta(inserts={"R": {(9, 9)}}))
         stats = store.cache_stats()

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import ProtocolError, connect
+from repro.engine import available_engines
 from repro.session.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -282,6 +283,23 @@ class TestExecutor:
             response = execute(conn, request, default_query=QUERY)
             parsed = SessionResponse.from_json(response.to_json())
             assert parsed.ok == response.ok
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_version_ahead_of_the_head_says_so(engine):
+    """A read pinned past the head (a client that outlived a restart
+    without a WAL) is stale, but not evicted: the error says which."""
+    conn = connect(
+        {"R": {(1, 2), (3, 2), (3, 4)}, "S": {(2, 7)}}, engine=engine
+    )
+    request = SessionRequest.from_json(
+        json.dumps({"op": "count", "db_version": 10**30})
+    )
+    response = execute(conn, request, default_query=QUERY)
+    assert not response.ok
+    assert response.error_type == "StaleViewError"
+    assert "ahead of the head (0)" in response.error
+    assert "evicted" not in response.error
 
 
 class TestPinnedReadRace:

@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.query.parser import parse_query
 from repro.query.variable_order import VariableOrder
+from repro.engine import available_engines
 from repro.server import HTTPConnection, ReproServer
 from repro.server.aio import AsyncReproServer
 from repro.server.client import normalize_base_url
@@ -202,7 +203,7 @@ class TestTransport:
         assert body["server"]["requests"] == 1
         assert body["server"]["ops"] == {"count": 1}
         assert body["store"]["database_encodes"] == 1
-        # One session serves every worker thread: its counters are the
+        # One store serves every worker thread: its counters are the
         # totals, and there is no per-worker breakdown.
         assert body["workers"]["count"] == 4
         assert body["workers"]["totals"]["requests"] == 1
@@ -213,6 +214,47 @@ class TestTransport:
             "admitted": 0,
             "rejections": 0,
         }
+        # One counter view: after a mixed stream, the ``stats`` op,
+        # ``Connection.stats()`` and ``GET /stats`` all read the
+        # store's counters, on both engines.
+        for engine in available_engines():
+            self.check_one_counter_view(engine)
+
+    @staticmethod
+    def check_one_counter_view(engine):
+        read = {"query": QUERY, "order": ["x", "y", "z"]}
+        stream = [
+            {"op": "count", **read},
+            {"op": "access", "indices": [0, -1], **read},  # warm
+            {"op": "plan", "query": QUERY},
+            {"op": "count", "query": QUERY},  # planned
+            {"op": "insert", "relation": "R", "rows": [[0, 2]]},
+            {"op": "rank", "answer": [0, 2, 7], **read},
+            {"op": "count", "db_version": 0, **read},  # pinned
+            {"op": "count", "query": QUERY, "order": ["y", "x", "z"]},
+            {"op": "count", "query": "Q(x, y) :- R(x, y)"},  # evicts
+        ]
+        with ReproServer(
+            RELATIONS, engine=engine, workers=2, capacity=2
+        ) as server:
+            for payload in stream:
+                status, reply = post_op(server, payload)
+                assert status == 200 and reply["ok"], reply
+            _, reply = post_op(server, {"op": "stats"})
+            op = reply["result"]
+            status, body = http_get(server.url + "/stats")
+            local = server.core.connection.stats()
+        assert status == 200
+        store = body["store"]
+        assert "sessions" not in store
+        assert store["access"]["evictions"] >= 1
+        totals = body["workers"]["totals"]
+        assert set(totals) == set(op) - {"store"}
+        for key in totals:
+            assert totals[key] == store[key], key
+            assert op[key] == store[key], key
+            assert local[key] == store[key], key
+        assert op["store"]["requests"] == store["requests"] == 7
 
     def test_stats_op_sees_every_worker(self, monkeypatch):
         """Reads on both run slots at once, then the ``stats`` op: it
@@ -613,7 +655,7 @@ class TestConcurrentServing:
     def test_concurrent_clients_distinct_decompositions(
         self, monkeypatch, local
     ):
-        import repro.session.session as session_module
+        import repro.session.artifacts as session_module
 
         real = session_module.Preprocessing
         barrier = threading.Barrier(2, timeout=20)

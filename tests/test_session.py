@@ -1,4 +1,4 @@
-"""Tests for the serving layer: AccessSession, caches, shared encoding."""
+"""Tests for the serving layer: ArtifactStore, caches, shared encoding."""
 
 from __future__ import annotations
 
@@ -22,10 +22,9 @@ from repro.data.columnar import numpy_available
 from repro.engine import available_engines
 from repro.errors import OrderError
 from repro.session.protocol import SessionRequest, execute
-from repro.session.session import AccessSession
+from repro.session.artifacts import ArtifactStore
 from tests.conftest import (
     lex_answers,
-    make_session,
     random_database_for,
     random_join_query,
 )
@@ -50,26 +49,26 @@ class TestCrossOrderSharing:
     @pytest.mark.parametrize("engine", available_engines())
     def test_sibling_order_hits_cache(self, engine):
         query = parse_query(STAR)
-        session = make_session(star_database(), engine=engine)
-        first = session.access(query, order=["x", "y", "z", "w"])
-        cold_materializations = session.stats.bag_materializations
-        cold_builds = session.stats.forest_builds
+        store = ArtifactStore(star_database(), engine=engine)
+        first = store.access(query, order=["x", "y", "z", "w"])
+        cold_materializations = store.stats.bag_materializations
+        cold_builds = store.stats.forest_builds
         assert cold_materializations == 4  # one table per bag
 
         # A different order, same decomposition: zero new tuple work.
-        second = session.access(query, order=["x", "w", "z", "y"])
-        assert session.stats.bag_materializations == cold_materializations
-        assert session.stats.forest_builds == cold_builds
-        assert session.stats.preprocessing.hits == 1
-        assert session.stats.forest.hits == 1
+        second = store.access(query, order=["x", "w", "z", "y"])
+        assert store.stats.bag_materializations == cold_materializations
+        assert store.stats.forest_builds == cold_builds
+        assert store.stats.preprocessing.hits == 1
+        assert store.stats.forest.hits == 1
 
         # ... and the cached structures answer bit-identically to a
-        # cold, session-free DirectAccess for that order.
+        # cold, store-free DirectAccess for that order.
         with use_engine(engine):
             cold = DirectAccess(
                 query,
                 VariableOrder(["x", "w", "z", "y"]),
-                session.database,
+                store.database,
             )
         assert len(second) == len(cold) == len(first)
         assert enumerate_all(second) == enumerate_all(cold)
@@ -77,37 +76,37 @@ class TestCrossOrderSharing:
     @pytest.mark.parametrize("engine", available_engines())
     def test_exact_repeat_returns_cached_structure(self, engine):
         query = parse_query(STAR)
-        session = make_session(star_database(), engine=engine)
-        first = session.access(query, order=["x", "y", "z", "w"])
-        again = session.access(query, order=["x", "y", "z", "w"])
+        store = ArtifactStore(star_database(), engine=engine)
+        first = store.access(query, order=["x", "y", "z", "w"])
+        again = store.access(query, order=["x", "y", "z", "w"])
         assert again is first
-        assert session.stats.access.hits == 1
+        assert store.stats.access.hits == 1
 
     def test_projected_requests_cache_separately(self):
         query = parse_query(STAR)
-        session = make_session(star_database())
-        full = session.access(query, order=["x", "y", "z", "w"])
-        materialized = session.stats.bag_materializations
-        projected = session.access(
+        store = ArtifactStore(star_database())
+        full = store.access(query, order=["x", "y", "z", "w"])
+        materialized = store.stats.bag_materializations
+        projected = store.access(
             query, order=["x", "y", "z", "w"], projected={"w"}
         )
         # Bag relations are shared with the full-order request ...
-        assert session.stats.bag_materializations == materialized
-        assert session.stats.preprocessing.hits == 1
+        assert store.stats.bag_materializations == materialized
+        assert store.stats.preprocessing.hits == 1
         # ... but the counting forest is projected-set specific.
-        assert session.stats.forest.misses == 2
+        assert store.stats.forest.misses == 2
         expected = sorted({t[:3] for t in enumerate_all(full)})
         assert enumerate_all(projected) == expected
 
     def test_structurally_equal_query_shares_cache(self):
-        session = make_session(star_database())
-        session.access(parse_query(STAR), order=["x", "y", "z", "w"])
-        materialized = session.stats.bag_materializations
+        store = ArtifactStore(star_database())
+        store.access(parse_query(STAR), order=["x", "y", "z", "w"])
+        materialized = store.stats.bag_materializations
         renamed = parse_query(
             "P(x, y, z, w) :- R(x, y), S(x, z), T(x, w)"
         )
-        session.access(renamed, order=["x", "z", "w", "y"])
-        assert session.stats.bag_materializations == materialized
+        store.access(renamed, order=["x", "z", "w", "y"])
+        assert store.stats.bag_materializations == materialized
 
     def test_renamed_query_served_after_artifact_eviction(self):
         """Regression: a warm plan for query A must be reusable to
@@ -123,10 +122,10 @@ class TestCrossOrderSharing:
                 "T": {(0, 0)},
             }
         )
-        session = make_session(database, capacity=1)
-        session.access(query_a)  # plan + artifacts for A
-        session.access(other, order=["u", "v"])  # evicts A's artifacts
-        access = session.access(query_b)  # warm plan, cold artifacts
+        store = ArtifactStore(database, capacity=1)
+        store.access(query_a)  # plan + artifacts for A
+        store.access(other, order=["u", "v"])  # evicts A's artifacts
+        access = store.access(query_b)  # warm plan, cold artifacts
         assert len(access) == 4
 
 
@@ -156,15 +155,15 @@ class TestDecompositionCacheKey:
             if not same_structure:
                 continue
             checked_equal += 1
-            # Same decomposition => the session serves order_b from
+            # Same decomposition => the store serves order_b from
             # order_a's preprocessing, with identical answers.
             database = random_database_for(query, rng)
-            session = make_session(database)
-            session.access(query, order=order_a)
-            materialized = session.stats.bag_materializations
-            warm = session.access(query, order=order_b)
+            store = ArtifactStore(database)
+            store.access(query, order=order_a)
+            materialized = store.stats.bag_materializations
+            warm = store.access(query, order=order_b)
             assert (
-                session.stats.bag_materializations == materialized
+                store.stats.bag_materializations == materialized
             ), f"{query} {list(order_a)} {list(order_b)}"
             assert enumerate_all(warm) == lex_answers(
                 query, database, order_b
@@ -185,49 +184,49 @@ class TestDecompositionCacheKey:
 class TestPlanning:
     def test_advisor_picks_cheapest_cold(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = make_session(
+        store = ArtifactStore(
             random_database_for(query, random.Random(1))
         )
-        report = session.plan(query)
+        report = store.plan(query)
         assert report.iota == 1
-        access = session.access(query)
+        access = store.access(query)
         assert list(access.order) == list(report.order)
 
     def test_prefix_planning(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = make_session(
+        store = ArtifactStore(
             random_database_for(query, random.Random(2))
         )
-        access = session.access(query, prefix=["y"])
+        access = store.access(query, prefix=["y"])
         assert list(access.order)[0] == "y"
         assert enumerate_all(access) == lex_answers(
-            query, session.database, access.order
+            query, store.database, access.order
         )
 
     def test_cache_aware_order_choice(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(3))
-        session = make_session(database)
+        store = ArtifactStore(database)
         # (z, y, x) ties the cold pick (x, y, z) at iota 1 with another
         # decomposition; once warm, the tie breaks towards it.
         warm_order = ["z", "y", "x"]
-        assert list(session.plan(query).order) != warm_order
-        session.access(query, order=warm_order)
-        report = session.plan(query)
+        assert list(store.plan(query).order) != warm_order
+        store.access(query, order=warm_order)
+        report = store.plan(query)
         assert list(report.order) == warm_order
-        assert session.stats.cache_preferred_orders == 1
+        assert store.stats.cache_preferred_orders == 1
         # A warm iota-2 order never beats the cold optimum.
-        strict = make_session(database)
+        strict = ArtifactStore(database)
         strict.access(query, order=["x", "z", "y"])
         assert strict.plan(query).iota == 1
         assert strict.stats.cache_preferred_orders == 0
 
     def test_plan_accepts_plain_list_prefix(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = make_session(
+        store = ArtifactStore(
             random_database_for(query, random.Random(8))
         )
-        report = session.plan(query, ["y"])  # cold plan cache
+        report = store.plan(query, ["y"])  # cold plan cache
         assert list(report.order)[0] == "y"
 
     def test_injected_forest_must_match_request(self):
@@ -265,7 +264,7 @@ class TestPlanning:
             DirectAccess(
                 query, order, star_database(seed=1), forest=full.forest
             )
-        # The matching forest is accepted (the session's warm path).
+        # The matching forest is accepted (the store's warm path).
         warm = DirectAccess(
             query,
             VariableOrder(["x", "w", "z", "y"]),
@@ -307,34 +306,34 @@ class TestPlanning:
 
     def test_plan_results_are_memoized(self):
         query = parse_query(STAR)
-        session = make_session(star_database())
-        session.access(query)
-        session.access(query)
-        assert session.stats.advisor_calls == 1
+        store = ArtifactStore(star_database())
+        store.access(query)
+        store.access(query)
+        assert store.stats.advisor_calls == 1
 
     def test_projected_needs_explicit_order(self):
-        session = make_session(star_database())
+        store = ArtifactStore(star_database())
         with pytest.raises(OrderError):
-            session.access(parse_query(STAR), projected={"w"})
+            store.access(parse_query(STAR), projected={"w"})
 
     def test_conflicting_order_and_prefix_raise(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = make_session(
+        store = ArtifactStore(
             random_database_for(query, random.Random(7))
         )
         with pytest.raises(OrderError):
-            session.access(query, order=["x", "y", "z"], prefix=["y"])
+            store.access(query, order=["x", "y", "z"], prefix=["y"])
         # A consistent pair is served normally.
-        access = session.access(
+        access = store.access(
             query, order=["y", "x", "z"], prefix=["y"]
         )
         assert list(access.order) == ["y", "x", "z"]
 
     def test_plan_cache_keeps_only_tied_optimal_orders(self):
         query = parse_query(STAR)  # 4 variables, 24 orders
-        session = make_session(star_database())
-        session.plan(query)
-        (stored,) = session.store.cache("plans")._entries.values()
+        store = ArtifactStore(star_database())
+        store.plan(query)
+        (stored,) = store.cache("plans")._entries.values()
         best = stored[0].iota
         assert all(report.iota == best for report in stored)
         assert len(stored) < 24
@@ -344,10 +343,10 @@ class TestSessionMechanics:
     def test_task_conveniences(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(4))
-        session = make_session(database)
+        store = ArtifactStore(database)
         order = ["x", "y", "z"]
         answers = lex_answers(query, database, VariableOrder(order))
-        access = session.access(query, order=order)
+        access = store.access(query, order=order)
         assert len(access) == len(answers)
         if answers:
             assert tasks.median(access) == answers[(len(answers) - 1) // 2]
@@ -357,26 +356,46 @@ class TestSessionMechanics:
     def test_lru_eviction_keeps_serving(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
         database = random_database_for(query, random.Random(5))
-        session = make_session(database, capacity=1)
+        store = ArtifactStore(database, capacity=1)
         orders = (["x", "y", "z"], ["y", "x", "z"], ["x", "y", "z"])
         for order in orders:
-            access = session.access(query, order=order)
+            access = store.access(query, order=order)
             assert enumerate_all(access) == lex_answers(
                 query, database, VariableOrder(order)
             )
-        assert session.stats.preprocessing.evictions >= 1
+        assert store.stats.preprocessing.evictions >= 1
 
     def test_clear_drops_artifacts_but_keeps_counters(self):
         query = parse_query(STAR)
-        session = make_session(star_database())
-        session.access(query, order=["x", "y", "z", "w"])
-        session.store.clear()
-        session.access(query, order=["x", "y", "z", "w"])
-        assert session.stats.bag_materializations == 8
+        store = ArtifactStore(star_database())
+        store.access(query, order=["x", "y", "z", "w"])
+        store.clear()
+        store.access(query, order=["x", "y", "z", "w"])
+        assert store.stats.bag_materializations == 8
 
     def test_cache_stats_snapshot_shape(self):
-        session = make_session(star_database())
-        stats = session.cache_stats()
+        """One counter view: after a mixed stream, ``Connection.stats()``
+        and the ``stats`` op report exactly the store's counters."""
+        for engine in available_engines():
+            self.check_one_counter_view(engine)
+
+    @staticmethod
+    def check_one_counter_view(engine):
+        conn = connect(star_database(), engine=engine, cache=3)
+        conn.prepare(STAR, order=["x", "y", "z", "w"])
+        conn.prepare(STAR, order=["x", "y", "z", "w"])  # warm
+        conn.prepare(STAR, order=["x", "w", "z", "y"])  # sibling
+        conn.prepare(STAR)  # planned
+        pinned = conn.prepare(STAR, order=["y", "x", "z", "w"])
+        conn.insert("R", [(99, 98)])
+        assert pinned.db_version == 0 and len(pinned) > 0
+        conn.prepare("Q(x, y) :- R(x, y)", order=["y", "x"])
+        conn.prepare(STAR, order=["z", "x", "y", "w"])  # evicts
+        stats = conn.stats()
+        op = execute(conn, SessionRequest(op="stats")).result
+        assert op == stats
+        store = stats["store"]
+        assert store == conn.session.cache_stats()
         assert set(stats) == {
             "requests",
             "advisor_calls",
@@ -392,15 +411,24 @@ class TestSessionMechanics:
             "decompositions",
             "store",
         }
-        assert stats["store"]["database_encodes"] == 1
-        assert stats["store"]["sessions"] == 1
+        for key in set(stats) - {"store"}:
+            assert stats[key] == store[key], key
+        assert "sessions" not in store
+        assert store["database_encodes"] == 1
+        assert stats["requests"] == 7
+        assert stats["access"]["evictions"] >= 1
+        assert (
+            stats["access"]["hits"] + stats["access"]["misses"]
+            == stats["requests"]
+        )
+        pinned.close()
 
     def test_session_engine_is_pinned(self):
         query = parse_query("Q(x, y) :- R(x, y)")
         database = Database({"R": {(1, 2), (2, 3)}})
         for engine in available_engines():
-            session = make_session(database, engine=engine)
-            access = session.access(query, order=["x", "y"])
+            store = ArtifactStore(database, engine=engine)
+            access = store.access(query, order=["x", "y"])
             assert access.engine_name == engine
 
 
@@ -418,10 +446,10 @@ class TestWarmRequestPath:
     @pytest.fixture()
     def calls(self, monkeypatch):
         """Counts calls to the query parser and to the planner."""
-        import repro.session.session as session_module
+        import repro.session.artifacts as artifacts_module
 
         counts = {"parse": 0, "plan": 0}
-        parse, plan = session_module.parse_query, AccessSession.plan
+        parse, plan = artifacts_module.parse_query, ArtifactStore.plan
 
         def counting_parse(*args, **kwargs):
             counts["parse"] += 1
@@ -431,8 +459,8 @@ class TestWarmRequestPath:
             counts["plan"] += 1
             return plan(self, *args, **kwargs)
 
-        monkeypatch.setattr(session_module, "parse_query", counting_parse)
-        monkeypatch.setattr(AccessSession, "plan", counting_plan)
+        monkeypatch.setattr(artifacts_module, "parse_query", counting_parse)
+        monkeypatch.setattr(ArtifactStore, "plan", counting_plan)
         return counts
 
     @staticmethod
@@ -492,7 +520,7 @@ class TestWarmRequestPath:
         self, calls, order
     ):
         conn = self.connection()
-        store = conn.session.store
+        store = conn.session
         for request in self.reads(order):
             self.serve(conn, calls, request)
         assert store.request_count() == 1
@@ -530,7 +558,7 @@ class TestWarmRequestPath:
         request = self.reads()[0]
         self.serve(conn, calls, request)
         conn.clear_cache()
-        assert conn.session.store.request_count() == 0
+        assert conn.session.request_count() == 0
         _, made = self.serve(conn, calls, request)
         assert made == {"parse": 1, "plan": 0}
         _, made = self.serve(conn, calls, request)
@@ -554,7 +582,7 @@ class TestWarmRequestPath:
                 list(self.INSERTED[0]), list(self.INSERTED[-1])
             ]
         # Both are warm now, each under its own version.
-        assert conn.session.store.request_count() == 2
+        assert conn.session.request_count() == 2
         for request in self.reads(db_version=0) + self.reads():
             _, made = self.serve(conn, calls, request)
             assert made == {"parse": 0, "plan": 0}
@@ -562,7 +590,7 @@ class TestWarmRequestPath:
 
     def test_distinct_query_texts_stay_bounded(self):
         conn = self.connection(cache=16)
-        store = conn.session.store
+        store = conn.session
         # 500 spellings of one query, then 500 distinct queries: the
         # map never holds more entries than resident access artifacts.
         texts = [
@@ -621,8 +649,8 @@ class TestEncodedDatabase:
         )
         assert database.shared_dictionary is None
         query = parse_query("Q(x, y) :- R(x, y), S(y)")
-        session = make_session(database)
-        access = session.access(query, order=["x", "y"])
+        store = ArtifactStore(database)
+        access = store.access(query, order=["x", "y"])
         assert enumerate_all(access) == [(1, "u")]
 
     def test_extended_reencodes(self):
@@ -640,24 +668,24 @@ class TestEncodedDatabase:
 
     def test_lazy_prefix_is_consumed_once(self):
         query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
-        session = make_session(
+        store = ArtifactStore(
             random_database_for(query, random.Random(10))
         )
-        access = session.access(
+        access = store.access(
             query, order=["y", "x", "z"], prefix=iter(["y"])
         )
         assert list(access.order) == ["y", "x", "z"]
 
 
 class TestThreadSafety:
-    """ROADMAP follow-up: cache mutation is guarded by an RLock and
-    SessionStats snapshots are atomic."""
+    """Every counter moves under the store's registry lock, so
+    :meth:`ArtifactStore.cache_stats` snapshots are atomic."""
 
     def test_concurrent_requests_one_preprocessing_pass(self):
         import threading
 
         query = parse_query(STAR)
-        session = make_session(star_database(), capacity=None)
+        store = ArtifactStore(star_database(), capacity=None)
         # Sibling orders: same decomposition, one bag-materialization
         # pass total no matter how the threads interleave.
         orders = [
@@ -672,9 +700,9 @@ class TestThreadSafety:
         def worker(order):
             try:
                 for _ in range(4):
-                    access = session.access(query, order=order)
+                    access = store.access(query, order=order)
                     counts.append(len(access))
-                    snapshot = session.cache_stats()
+                    snapshot = store.cache_stats()
                     # Atomic snapshot: work counters can never run
                     # ahead of the requests that caused them.
                     assert (
@@ -694,17 +722,17 @@ class TestThreadSafety:
             thread.join()
         assert not errors
         assert len(set(counts)) == 1
-        stats = session.cache_stats()
+        stats = store.cache_stats()
         assert stats["requests"] == 4 * len(threads)
         # The lock serializes building: the decomposition is shared, so
         # exactly one preprocessing pass happened (4 bags).
         assert stats["bag_materializations"] == 4
 
     def test_snapshot_is_a_plain_copy(self):
-        session = make_session(star_database())
-        first = session.cache_stats()
-        session.access(parse_query(STAR), order=["x", "y", "z", "w"])
-        second = session.cache_stats()
+        store = ArtifactStore(star_database())
+        first = store.cache_stats()
+        store.access(parse_query(STAR), order=["x", "y", "z", "w"])
+        second = store.cache_stats()
         assert first["requests"] == 0  # unaffected by later mutation
         assert second["requests"] == 1
 
@@ -717,7 +745,7 @@ class TestThreadSafety:
         from repro import use_engine
 
         query = parse_query(STAR)
-        session = make_session(star_database(), capacity=None)
+        store = ArtifactStore(star_database(), capacity=None)
         errors: list[BaseException] = []
         done = threading.Event()
 
@@ -729,14 +757,14 @@ class TestThreadSafety:
                         order[1 + index % 3], order[1] = (
                             order[1], order[1 + index % 3],
                         )
-                        session.access(query, order=order)
+                        store.access(query, order=order)
             except BaseException as error:  # noqa: BLE001 (collected)
                 errors.append(error)
 
         def direct():
             try:
                 for _ in range(10):
-                    session.access(query, order=["x", "y", "z", "w"])
+                    store.access(query, order=["x", "y", "z", "w"])
             except BaseException as error:  # noqa: BLE001 (collected)
                 errors.append(error)
 
