@@ -158,13 +158,14 @@ class Preprocessing:
             :class:`BagTables` of this (query, decomposition) at an
             earlier database version, and the ``(delta, database)``
             pairs that lead from it to ``database`` (effective deltas,
-            oldest first, the last database being ``database``).  When
-            the engine can patch (:attr:`~repro.engine.base.Engine.
-            patches_artifacts`), each bag whose plan reads no touched
-            relation keeps its table object, and every other bag is
-            moved forward by the delta rule and spliced
-            (:attr:`patched_bag_count`).  Anything the patch cannot
-            express falls back to a from-scratch materialization.
+            oldest first, the last database being ``database``).  Each
+            bag whose plan reads no touched relation keeps its table
+            object, and every other bag is moved forward by the delta
+            rule and spliced by the engine
+            (:meth:`~repro.engine.base.Engine.spliced_table`,
+            :attr:`patched_bag_count`).  Anything the engine cannot
+            express (a hook answers ``None``) falls back to a
+            from-scratch materialization.
     """
 
     def __init__(
@@ -348,7 +349,7 @@ class Preprocessing:
 
     def _patch(self, base: BagTables, steps) -> list[PreprocessedBag] | None:
         """The bag relations of ``base`` moved through ``steps``, or
-        ``None`` when the engine cannot patch them (rebuild instead).
+        ``None`` when they cannot be patched (rebuild instead).
 
         Per step, a bag whose plan reads no touched relation keeps its
         table object.  For the others, the delta rule gives the rows
@@ -361,8 +362,7 @@ class Preprocessing:
         the table (``spliced_table``) on fresh storage.
         """
         if (
-            not self.engine.patches_artifacts
-            or base.key != self._provenance
+            base.key != self._provenance
             or not steps
             or steps[-1][1] is not self.database
         ):

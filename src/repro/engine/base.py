@@ -25,6 +25,7 @@ import abc
 import threading
 from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from collections.abc import Sequence
 
 
@@ -137,22 +138,27 @@ class BagIndex:
         self.aux = None
 
     def build(self, weighted_rows: dict[tuple, int]) -> None:
-        by_interface: dict[tuple, list[tuple]] = {}
+        by_interface: dict[tuple, dict] = {}
         for row, weight in weighted_rows.items():
-            if weight <= 0:
-                continue
-            by_interface.setdefault(row[:-1], []).append(
-                (row[-1], weight)
-            )
-        for interface, pairs in by_interface.items():
-            pairs.sort()
-            values = [value for value, _ in pairs]
-            weights = [weight for _, weight in pairs]
-            cumulative = [0]
-            for weight in weights:
-                cumulative.append(cumulative[-1] + weight)
-            self.groups[interface] = (values, weights, cumulative)
-            self.totals[interface] = cumulative[-1]
+            if weight > 0:
+                by_interface.setdefault(row[:-1], {})[row[-1]] = weight
+        for interface, candidates in by_interface.items():
+            self.put_group(interface, candidates)
+
+    def put_group(self, interface: tuple, candidates: dict) -> int:
+        """Set the group at ``interface`` to ``candidates`` (candidate
+        value -> positive weight), or remove it when there are none.
+        Returns the group's total weight."""
+        if not candidates:
+            self.groups.pop(interface, None)
+            self.totals.pop(interface, None)
+            return 0
+        values = sorted(candidates)
+        weights = [candidates[value] for value in values]
+        cumulative = [0, *accumulate(weights)]
+        self.groups[interface] = (values, weights, cumulative)
+        self.totals[interface] = cumulative[-1]
+        return cumulative[-1]
 
     def total(self, interface: tuple) -> int:
         return self.totals.get(interface, 0)
@@ -170,11 +176,6 @@ class Engine(abc.ABC):
 
     #: Registry name (``"python"`` / ``"numpy"``).
     name: str = "abstract"
-
-    #: Whether :meth:`spliced_table` and :meth:`patch_bag_index` can
-    #: move bag tables and counting forests forward by a delta.  An
-    #: engine without it rebuilds them after every write.
-    patches_artifacts: bool = False
 
     def __init__(self) -> None:
         #: Operation counters (see :class:`OpCounters`); the access
@@ -276,16 +277,23 @@ class Engine(abc.ABC):
         return new_database, True, 0
 
     # -- incremental maintenance -------------------------------------------
+    #
+    # After a write the store moves the previous version's bag tables
+    # and counting forest forward through these three hooks instead of
+    # rebuilding them.  A hook answers ``None`` when it cannot express
+    # the step (e.g. a delta that renumbered the numpy dictionary);
+    # the caller then rebuilds, and counts it.
 
+    @abc.abstractmethod
     def delta_table(self, atom, relation, rows):
         """``rows`` of ``relation`` (a delta side) interpreted through
-        ``atom``, in the encoding ``relation`` carries; ``None`` when
-        they cannot be expressed in it (or the engine does not patch)."""
-        return None
+        ``atom``, like :meth:`from_atom`, in the encoding ``relation``
+        carries; ``None`` when they cannot be expressed in it."""
 
+    @abc.abstractmethod
     def spliced_table(self, table, inserted, removed, kept):
-        """``table`` moved forward by one delta, or ``None`` when this
-        engine cannot splice it (the caller rebuilds).
+        """``table`` moved forward by one delta, or ``None`` when it
+        cannot be spliced (the caller rebuilds).
 
         ``inserted`` and ``removed`` are candidate tables over
         ``table``'s schema: the result gains the ``inserted`` rows it
@@ -295,26 +303,26 @@ class Engine(abc.ABC):
         ``new_table is table``) when none did.  ``table`` is never
         written.
         """
-        return None
 
+    @abc.abstractmethod
     def patch_bag_index(
         self, index, table, changes, child_slots, child_changes,
         projected,
     ):
         """``index`` (built over an earlier version of ``table``) moved
-        forward, or ``None`` when this engine cannot patch it.
+        forward, or ``None`` when it cannot be patched (the caller
+        rebuilds).
 
         ``changes`` lists the :meth:`spliced_table` change records of
         the rows that moved in ``table`` since; ``child_slots`` is as
         in :meth:`build_bag_index`, with each child's *current* index,
-        and ``child_changes`` holds, per child, the interface keys
-        whose total changed (``None``: none did).  Returns
-        ``(new_index, changed)`` with ``changed`` the same record for
-        this bag's own groups; the result equals a
+        and ``child_changes`` holds, per child, the engine's record of
+        the interface keys whose total changed (``None``: none did).
+        Returns ``(new_index, changed)`` with ``changed`` the same
+        record for this bag's own groups; the result equals a
         :meth:`build_bag_index` from scratch, and ``index`` is never
         written.
         """
-        return None
 
     # -- batch access ------------------------------------------------------
 

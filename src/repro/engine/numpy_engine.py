@@ -674,8 +674,6 @@ class NumpyEngine(Engine):
 
     # -- incremental maintenance -------------------------------------------
 
-    patches_artifacts = True
-
     def delta_table(self, atom, relation, rows):
         """Delta rows through ``atom``, encoded in ``relation``'s
         dictionary (so every later operator short-circuits its merge);

@@ -10,6 +10,12 @@ Batch access and inverse access (``batch_rank``) use the base class's
 reference paths: one scalar counting-forest descent per index or tuple
 (:func:`repro.engine.base.rank_walk`) — the semantics the numpy
 engine's vectorized strategies are checked against.
+
+After a write, bag tables and counting forests are moved forward
+rather than rebuilt, like under numpy: a bag table is spliced by
+frozenset algebra, and a bag index rebuilds only the interface groups a
+moved row (or a child's changed total) lies in, sharing every other
+group with the previous version's index.
 """
 
 from __future__ import annotations
@@ -27,18 +33,7 @@ class PythonEngine(Engine):
     # -- relational operators ---------------------------------------------
 
     def from_atom(self, atom, relation):
-        from repro.joins.operators import Table
-
-        schema: list[str] = []
-        for var in atom.variables:
-            if var not in schema:
-                schema.append(var)
-        rows = set()
-        for raw in relation.tuples:
-            binding = atom.binding(raw)
-            if binding is not None:
-                rows.add(tuple(binding[v] for v in schema))
-        return Table(schema, rows)
+        return _bound(atom, relation.tuples)
 
     def project(self, table, variables, positions):
         from repro.joins.operators import Table
@@ -151,27 +146,126 @@ class PythonEngine(Engine):
     # -- counting forest ---------------------------------------------------
 
     def build_bag_index(self, table, child_slots, projected):
-        weighted: dict[tuple, int] = {}
-        for row in table.rows:
-            weight = 1
-            for child_index, positions in child_slots:
-                weight *= child_index.total(
-                    tuple(row[p] for p in positions)
-                )
-                if weight == 0:
-                    break
-            if projected and weight > 0:
-                # Existence suffices below a projected variable: the bag
-                # variable and everything beneath it is projected, so
-                # collapse multiplicity to one per row ...
-                weight = 1
-            weighted[row] = weight
         index = BagIndex()
-        index.build(weighted)
+        index.build(
+            {row: _weight(row, child_slots, projected) for row in table.rows}
+        )
         if projected:
-            # ... and to one per *interface* value: the caller must not
+            # Rows weigh one each below a projected variable (_weight),
+            # and so does every *interface* value: the caller must not
             # distinguish different values of the projected variable
             # either.
             for interface in index.totals:
                 index.totals[interface] = 1
         return index
+
+    # -- incremental maintenance -------------------------------------------
+
+    def delta_table(self, atom, relation, rows):
+        """Delta rows through ``atom``; ``None`` when ``relation``'s
+        rows cannot be sorted.  Over such a domain a cold read fails
+        in its joins' tries, and so must this one: the caller rebuilds
+        (numpy's rule too, where the domain cannot be encoded)."""
+        try:
+            relation.sorted_tuples()
+        except TypeError:
+            return None
+        return _bound(atom, rows)
+
+    def spliced_table(self, table, inserted, removed, kept):
+        """Splice by set algebra: ``(old - (removed & old - kept)) |
+        (inserted - old)``.  The change record is the frozenset of the
+        rows that moved, inserted and removed alike."""
+        from repro.joins.operators import Table
+
+        sides = []
+        for tables in (inserted, removed, kept):
+            if any(part.schema != table.schema for part in tables):
+                return None
+            sides.append(frozenset().union(*(part.rows for part in tables)))
+        inserts, removals, keeps = sides
+        old = table.rows
+        gained = inserts - old
+        lost = (removals & old) - keeps
+        if not gained and not lost:
+            return table, None
+        return (
+            Table._from_rows(table.schema, (old - lost) | gained),
+            gained | lost,
+        )
+
+    def patch_bag_index(
+        self, index, table, changes, child_slots, child_changes,
+        projected,
+    ):
+        """Rebuild only the interface groups a touched row lies in.
+
+        The touched rows are the spliced ones (``changes``) plus every
+        row whose child interface is in ``child_changes`` (sets of
+        interface tuples).  ``groups`` and ``totals`` start as shallow
+        copies of the old dicts; each touched group is re-formed from
+        its old candidates with the touched rows' weights recomputed
+        (0 once a row left the table) and stored as fresh lists, so the
+        old group triples are shared and never written.  The change
+        record is the set of interfaces whose total changed.
+        """
+        rows = table.rows
+        touched = set().union(*changes)
+        for (_child, positions), keys in zip(child_slots, child_changes):
+            if keys:
+                touched.update(
+                    row
+                    for row in rows
+                    if tuple(row[p] for p in positions) in keys
+                )
+        if not touched:
+            return index, None
+        moves: dict[tuple, dict] = {}
+        for row in touched:
+            moves.setdefault(row[:-1], {})[row[-1]] = (
+                _weight(row, child_slots, projected) if row in rows else 0
+            )
+        out = BagIndex()
+        out.groups = dict(index.groups)
+        out.totals = dict(index.totals)
+        changed = set()
+        for interface, moved in moves.items():
+            values, weights, _ = index.groups.get(interface, ((), (), ()))
+            candidates = dict(zip(values, weights))
+            candidates.update(moved)
+            total = out.put_group(
+                interface, {v: w for v, w in candidates.items() if w > 0}
+            )
+            if projected and total:
+                total = out.totals[interface] = 1
+            if total != index.total(interface):
+                changed.add(interface)
+        return out, (changed or None)
+
+
+def _bound(atom, raws):
+    """The rows of ``raws`` that bind ``atom`` consistently, as a table
+    over the atom's distinct variables (repeats collapsed)."""
+    from repro.joins.operators import Table
+
+    schema = tuple(dict.fromkeys(atom.variables))
+    rows = set()
+    for raw in raws:
+        binding = atom.binding(raw)
+        if binding is not None:
+            rows.add(tuple(binding[v] for v in schema))
+    return Table._from_rows(schema, frozenset(rows))
+
+
+def _weight(row, child_slots, projected) -> int:
+    """A bag row's weight: the product of its children's totals at the
+    row's interface values."""
+    weight = 1
+    for child_index, positions in child_slots:
+        weight *= child_index.total(tuple(row[p] for p in positions))
+        if weight == 0:
+            return 0
+    # Existence suffices below a projected variable: the bag variable
+    # and everything beneath it is projected, so collapse multiplicity
+    # to one per row.
+    return 1 if projected else weight

@@ -55,6 +55,19 @@ class Table:
         table._columnar = columnar
         return table
 
+    @classmethod
+    def _from_rows(cls, schema: tuple[str, ...], rows: frozenset) -> "Table":
+        """Wrap an engine-produced row set without re-walking it.
+
+        ``schema`` must be duplicate-free and every row of ``rows`` a
+        tuple of its arity.
+        """
+        table = object.__new__(cls)
+        table.schema = tuple(schema)
+        table._rows = rows
+        table._columnar = None
+        return table
+
     @property
     def rows(self) -> frozenset[tuple]:
         """The row set (decoded from columnar storage on first use)."""

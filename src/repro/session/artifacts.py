@@ -167,14 +167,15 @@ class StoreStats:
     lookups: a request served entirely from cache leaves both untouched
     — the property the acceptance tests pin down.  They count bag
     relations and bag indexes built **from scratch**.  The first read
-    after a write can instead derive them from the previous version's
-    (numpy engine, code-stable delta): ``bag_patches`` counts bag
-    relations moved forward by the delta rule — every bag reading a
-    touched relation — and ``forest_patches`` bag indexes patched in
-    place of a build.  A bag that reads no touched relation is shared
-    with the previous version and counts in neither; a patch that falls
-    back (renumbering delta, python engine, object-dtype weights, a
-    missing base) counts in the from-scratch pair.
+    after a write instead derives them from the previous version's
+    (either engine; under numpy, a code-stable delta): ``bag_patches``
+    counts bag relations moved forward by the delta rule — every bag
+    reading a touched relation — and ``forest_patches`` bag indexes
+    patched in place of a build.  A bag that reads no touched relation
+    is shared with the previous version and counts in neither; a patch
+    that falls back (renumbering delta, a domain that cannot be
+    ordered, object-dtype weights, a missing base) counts in the
+    from-scratch pair.
 
     The build counters are the serving-layer acceptance evidence:
 
@@ -352,13 +353,11 @@ class ArtifactStore:
     """
 
     #: Artifact kinds, one cache each.  ``preprocessing`` holds bag
-    #: tables, ``forest`` counting forests, ``access`` assembled
+    #: tables, ``forest`` counting forests (a read after a write
+    #: patches both from the previous version's), ``access`` assembled
     #: DirectAccess structures; ``plans`` and ``decompositions`` hold
     #: the (data-independent) planner products.
     KINDS = ("preprocessing", "forest", "access", "plans", "decompositions")
-    #: Kinds a read at a newer version may patch instead of rebuilding,
-    #: when the engine can (``Engine.patches_artifacts``).
-    PATCHABLE = ("preprocessing", "forest")
 
     def __init__(
         self,
@@ -1055,10 +1054,10 @@ class ArtifactStore:
         they are kept under the old version while that version has
         open views (``artifacts_retained``), dropped otherwise.  The
         old database itself is retained in the MVCC snapshot plane.
-        When the engine can patch, the invalidated bag tables and
-        forests are also kept as patch bases, next to the delta, for
-        the next read to consume (:meth:`take_base`) — references
-        only, no work.  Returns the new database version.
+        The invalidated bag tables and forests are also kept as
+        patch bases, next to the delta, for the next read to consume
+        (:meth:`take_base`) — references only, no work.  Returns the
+        new database version.
 
         An empty — or *effectively* empty, e.g. deleting absent rows —
         delta is a no-op: the current version comes back unbumped,
@@ -1102,9 +1101,6 @@ class ArtifactStore:
                 self.stats.rows_encoded += rows_encoded
                 keep_old = self.snapshots.refs(old) > 0
                 evicted = set(self.snapshots.record(new, new_database))
-                patchable = (
-                    self.PATCHABLE if self.engine.patches_artifacts else ()
-                )
                 for kind in self.KINDS:
                     cache = self._caches[kind]
                     for vkey in cache.keys():
@@ -1124,7 +1120,9 @@ class ArtifactStore:
                             deps is not DEPENDS_ON_ALL
                             and not (deps & touched)
                         )
-                        if not survives and kind in patchable:
+                        if not survives and kind in (
+                            "preprocessing", "forest",
+                        ):
                             self._bases[(kind, key)] = (
                                 old, cache.peek(vkey),
                             )
@@ -1144,8 +1142,7 @@ class ArtifactStore:
                         else:
                             self._drop(kind, vkey)
                             self.stats.artifacts_invalidated += 1
-                if patchable:
-                    self._steps[new] = (delta, new_database)
+                self._steps[new] = (delta, new_database)
                 self._prune_bases()
             return new
 
