@@ -59,20 +59,20 @@ with zero rebuilds — the generation counters in :meth:`cache_stats`
 prove it.  In-flight builds that captured the old version finish
 harmlessly: their artifact lands under the old version's key, is never
 served to new-version readers, and is garbage-collected with that
-version.
+version (or not cached at all when the version is already gone).
 
 History does not vanish on apply: a
 :class:`~repro.session.mvcc.SnapshotPlane` retains the last K
 ``(db_version, database)`` snapshots with per-version refcounts, so a
 version-pinned view **keeps serving its snapshot** while new requests
-see the head (:meth:`database_at` resolves any retained version, and
-reads at it rebuild against the retained database when needed).
-Head-invalidated artifacts are kept under their old version while that
-version has open views (``artifacts_retained``) and garbage-collected
-when its last view closes or the version leaves the window
-(``artifacts_gcd``).  :class:`~repro.errors.StaleViewError` survives
-only as the fallback for reads of an *evicted* snapshot, or of a
-version ahead of the head.
+see the head (:meth:`database_at` resolves any retained version).  One
+rule governs old artifacts: an artifact cached at version ``v`` stays
+cached until ``v`` leaves the plane (``artifacts_gcd``) or the cache's
+own capacity evicts it, so head-invalidated artifacts keep serving
+reads pinned to their version (``artifacts_retained``) and are the
+bases the read after a write patches from (:meth:`take_base`).
+:class:`~repro.errors.StaleViewError` survives only as the fallback
+for reads of an *evicted* snapshot, or of a version ahead of the head.
 
 Next to the ``access`` cache sits the **request map**
 (:meth:`ArtifactStore.lookup` / :meth:`ArtifactStore.remember`): what a
@@ -80,10 +80,10 @@ read names — query text, order, prefix, projected set, exactly as sent
 — at the version it is served at, mapped to the key of the
 ``DirectAccess`` it resolved to.  A warm read is one lookup: no parse,
 no plan, no key derivation.  An entry lives exactly as long as its
-artifact is resident at that version (eviction, ``apply``
-invalidation, snapshot GC and :meth:`ArtifactStore.clear` drop it; a
-carried artifact takes it along), and an artifact keeps one entry, so
-the map needs no capacity of its own.
+artifact is resident at that version (eviction, snapshot GC and
+:meth:`ArtifactStore.clear` drop it; a carried artifact takes it
+along), and an artifact keeps one entry, so the map needs no capacity
+of its own.
 
 With a :class:`~repro.data.wal.WriteAheadLog` attached (``wal=``),
 every effective delta is appended — checksummed and fsynced — *before*
@@ -120,6 +120,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.access import DirectAccess
 from repro.core.advisor import (
@@ -140,8 +141,8 @@ from repro.session.cache import CacheStats, CostAwareCache
 from repro.session.mvcc import DEFAULT_RETAIN, SnapshotPlane
 
 #: Sentinel for "dependencies unknown": artifacts registered without a
-#: ``relations`` declaration are dropped by *every* delta — the safe
-#: default for direct store users.  Pass a ``frozenset`` of relation
+#: ``relations`` declaration are invalidated by *every* delta — the
+#: safe default for direct store users.  Pass a ``frozenset`` of relation
 #: names for selective invalidation, or ``None`` for data-independent
 #: artifacts that survive all deltas.
 DEPENDS_ON_ALL = object()
@@ -209,10 +210,9 @@ class StoreStats:
     * ``artifacts_invalidated`` — artifacts a delta stopped serving at
       the head;
     * ``artifacts_retained`` — of those, the ones kept under their old
-      version because that version still has open views (MVCC);
+      version because the snapshot plane still retains it (MVCC);
     * ``artifacts_gcd`` — old-version artifacts garbage-collected when
-      their version's last view closed or the version left the
-      snapshot window.
+      their version left the snapshot plane.
     """
 
     #: The request and work counters, which
@@ -328,6 +328,14 @@ class _RequestMap:
         self._requests.clear()
 
 
+def _forget(deps: dict, requests: _RequestMap, kind: str, vkey: tuple):
+    """The artifact at ``vkey`` leaves ``kind``'s cache: its dependency
+    record and, for ``access``, its request entry go with it."""
+    deps.pop((kind, vkey), None)
+    if kind == "access":
+        requests.forget(vkey)
+
+
 class ArtifactStore:
     """Amortized direct access for repeated requests over one database.
 
@@ -395,9 +403,10 @@ class ArtifactStore:
         # interleave their encode work).
         self._mutation_lock = threading.Lock()
         self._build_locks: dict[tuple, threading.Lock] = {}
-        # (kind, version, key) -> the relation names the artifact was
-        # built from (``None`` = data-independent, always carried;
-        # ``DEPENDS_ON_ALL`` = unknown, dropped by every delta).
+        # (kind, (version, key)) -> the relation names a resident
+        # artifact was built from (``None`` = data-independent, always
+        # carried; ``DEPENDS_ON_ALL`` = unknown, invalidated by every
+        # delta).
         self._deps: dict[tuple, object] = {}
         self._building = 0
         # Builds nest (an access build runs the preprocessing and
@@ -406,20 +415,17 @@ class ArtifactStore:
         # "this many workers were building at the same instant".
         self._build_depth = threading.local()
         self._requests = _RequestMap()
+        # Bound to the records, not to the store, so the caches'
+        # eviction hooks create no reference cycle.
+        self._forget = partial(_forget, self._deps, self._requests)
         self._caches = {
             kind: CostAwareCache(
                 capacity,
                 self.stats.of(kind),
-                on_evict=self._requests.forget if kind == "access" else None,
+                on_evict=partial(self._forget, kind),
             )
             for kind in self.KINDS
         }
-        # Patch bases: (kind, key) -> (version, artifact) for the
-        # head's bag tables and forests a delta invalidated, and
-        # version -> (effective delta, database) for every version a
-        # base still needs to be stepped through (see take_base).
-        self._bases: dict[tuple, tuple[int, object]] = {}
-        self._steps: dict[int, tuple] = {}
         self._encoded = False
         self.ensure_encoded()
 
@@ -504,8 +510,8 @@ class ArtifactStore:
                     version = self._pending_releases.popleft()
                 except IndexError:
                     break
-                last = self.snapshots.release(version)
-                if last and version != self._db_version:
+                self.snapshots.release(version)
+                if version not in self.snapshots:
                     self._purge_versions({version})
 
     def _purge_versions(self, versions: set[int]) -> None:
@@ -520,9 +526,7 @@ class ArtifactStore:
     def _drop(self, kind: str, vkey: tuple):
         # Registry lock held by the caller: remove one artifact with
         # its dependency record and any request resolved to it.
-        self._deps.pop((kind, vkey[0], vkey[1]), None)
-        if kind == "access":
-            self._requests.forget(vkey)
+        self._forget(kind, vkey)
         return self._caches[kind].pop(vkey)
 
     # -- the request map ---------------------------------------------------
@@ -598,24 +602,18 @@ class ArtifactStore:
                 self.stats.database_encodes += 1
                 self._encoded = True
 
-    #: Dependency-registry prune threshold (mirrors the build-lock
-    #: registry): entries for evicted artifacts are dropped lazily.
-    DEPS_REGISTRY_LIMIT = 4096
-
-    def _record_deps(self, kind: str, version: int, key, relations) -> None:
-        # Registry lock held by the caller.
-        self._deps[(kind, version, key)] = relations
-        if len(self._deps) > self.DEPS_REGISTRY_LIMIT:
-            live = {
-                (kind_, vkey[0], vkey[1])
-                for kind_ in self.KINDS
-                for vkey in self._caches[kind_].keys()
-            }
-            self._deps = {
-                dep: value
-                for dep, value in self._deps.items()
-                if dep in live
-            }
+    def _cache(self, kind: str, vkey: tuple, value, cost, relations) -> None:
+        # Registry lock held by the caller.  A version the plane no
+        # longer keeps caches nothing (an in-flight build that lost the
+        # race with its version's eviction would never be collected),
+        # and only a resident artifact gets a dependency record (the
+        # cache may decline the put or evict it at once), so the
+        # records never outnumber the artifacts.
+        if vkey[0] not in self.snapshots:
+            return
+        self._caches[kind].put(vkey, value, cost=cost)
+        if vkey in self._caches[kind]:
+            self._deps[(kind, vkey)] = relations
 
     def get(self, kind: str, key, version: int | None = None):
         """Cached artifact or ``None``; counts a hit or a miss.
@@ -630,7 +628,8 @@ class ArtifactStore:
         version: int | None = None,
         relations=DEPENDS_ON_ALL,
     ) -> None:
-        """Register an artifact under the given (or current) version.
+        """Register an artifact under the given (or current) version
+        (a version the snapshot plane no longer keeps caches nothing).
 
         ``relations`` declares which relation names the artifact was
         built from, steering delta invalidation: a ``frozenset`` is
@@ -642,8 +641,7 @@ class ArtifactStore:
         with self._registry_lock:
             if version is None:
                 version = self._db_version
-            self._caches[kind].put((version, key), value, cost=cost)
-            self._record_deps(kind, version, key, relations)
+            self._cache(kind, (version, key), value, cost, relations)
 
     def contains(
         self, kind: str, key, version: int | None = None
@@ -722,8 +720,7 @@ class ArtifactStore:
                             self._building -= 1
                 with self._registry_lock:
                     self.stats.artifact_builds += 1
-                    self._caches[kind].put(vkey, value, cost=cost)
-                    self._record_deps(kind, version, key, relations)
+                    self._cache(kind, vkey, value, cost, relations)
                 return value
 
     # -- planning ----------------------------------------------------------
@@ -1050,14 +1047,15 @@ class ArtifactStore:
         caches re-keys every artifact whose declared relations are
         disjoint from the delta's touched set to the new version
         (``artifacts_carried``).
-        The rest stop serving the head (``artifacts_invalidated``):
-        they are kept under the old version while that version has
-        open views (``artifacts_retained``), dropped otherwise.  The
-        old database itself is retained in the MVCC snapshot plane.
-        The invalidated bag tables and forests are also kept as
-        patch bases, next to the delta, for the next read to consume
-        (:meth:`take_base`) — references only, no work.  Returns the
-        new database version.
+        The rest stop serving the head (``artifacts_invalidated``) and
+        stay cached under the old version, which the MVCC snapshot
+        plane retains together with this delta
+        (``artifacts_retained``): reads pinned to the old version find
+        them warm, and the next read at the head patches its bag tables
+        and forest from them (:meth:`take_base`) — references only, no
+        work.  Artifacts of every version the window evicts, the old
+        one included, are garbage-collected (``artifacts_gcd``).
+        Returns the new database version.
 
         An empty — or *effectively* empty, e.g. deleting absent rows —
         delta is a no-op: the current version comes back unbumped,
@@ -1099,91 +1097,53 @@ class ArtifactStore:
                 else:
                     self.stats.full_reencodes += 1
                 self.stats.rows_encoded += rows_encoded
-                keep_old = self.snapshots.refs(old) > 0
-                evicted = set(self.snapshots.record(new, new_database))
+                evicted = set(
+                    self.snapshots.record(new, new_database, delta)
+                )
                 for kind in self.KINDS:
                     cache = self._caches[kind]
                     for vkey in cache.keys():
                         version, key = vkey
                         if version != old:
-                            # An older retained version's artifact:
-                            # keep serving its pinned views, unless
-                            # the window just evicted the version.
-                            if version in evicted:
-                                self._drop(kind, vkey)
-                                self.stats.artifacts_gcd += 1
                             continue
-                        deps = self._deps.get(
-                            (kind, version, key), DEPENDS_ON_ALL
-                        )
-                        survives = deps is None or (
+                        deps = self._deps.get((kind, vkey), DEPENDS_ON_ALL)
+                        if deps is None or (
                             deps is not DEPENDS_ON_ALL
                             and not (deps & touched)
-                        )
-                        if not survives and kind in (
-                            "preprocessing", "forest",
                         ):
-                            self._bases[(kind, key)] = (
-                                old, cache.peek(vkey),
-                            )
-                        if survives:
                             if kind == "access":
                                 self._requests.carry(vkey, new)
                             value, cost = self._drop(kind, vkey)
                             cache.put((new, key), value, cost=cost)
-                            self._deps[(kind, new, key)] = deps
+                            self._deps[(kind, (new, key))] = deps
                             self.stats.artifacts_carried += 1
-                        elif keep_old:
-                            # Invalidated at the head but the old
-                            # version has open views: retain it for
-                            # them, GC'd when the last view closes.
-                            self.stats.artifacts_invalidated += 1
-                            self.stats.artifacts_retained += 1
                         else:
-                            self._drop(kind, vkey)
                             self.stats.artifacts_invalidated += 1
-                self._steps[new] = (delta, new_database)
-                self._prune_bases()
+                            if old not in evicted:
+                                self.stats.artifacts_retained += 1
+                self._purge_versions(evicted)
             return new
 
-    def _prune_bases(self) -> None:
-        # Registry lock held by the caller.  A base lives while its
-        # version is inside the snapshot window; the steps live while
-        # some base still needs them.
-        horizon = self._db_version - self.snapshots.retain
-        self._bases = {
-            slot: base
-            for slot, base in self._bases.items()
-            if base[0] > horizon
-        }
-        floor = min(
-            (version for version, _ in self._bases.values()),
-            default=self._db_version,
-        )
-        self._steps = {
-            version: step
-            for version, step in self._steps.items()
-            if version > floor
-        }
-
     def take_base(self, kind: str, key, version: int):
-        """Consume the patch base for ``(kind, key)``: ``(artifact,
-        steps)`` with ``steps`` the ``(delta, database)`` pairs leading
-        from the base's version to ``version``, or ``None`` (build from
-        scratch).  A base is taken at most once, so at most one
-        generation of old artifacts is kept for patching."""
+        """The patch base for building ``(kind, key)`` at ``version``:
+        ``(artifact, steps)`` with ``artifact`` the newest one cached
+        under an older version and ``steps`` the ``(delta, database)``
+        pairs the snapshot plane recorded from there to ``version``, or
+        ``None`` (build from scratch).  The base stays cached: it is
+        read, never consumed or written."""
         with self._registry_lock:
-            base = self._bases.get((kind, key))
-            if base is None or base[0] >= version:
+            cache = self._caches[kind]
+            older = [v for v, k in cache.keys() if k == key and v < version]
+            if not older:
                 return None
-            del self._bases[(kind, key)]
+            base = max(older)
             steps = [
-                self._steps.get(v) for v in range(base[0] + 1, version + 1)
+                self.snapshots.step(v) for v in range(base + 1, version + 1)
             ]
-            self._prune_bases()
+            artifact = cache.peek((base, key))
         if any(step is None for step in steps):
             return None
-        return base[1], steps
+        return artifact, steps
 
     # -- observability / lifecycle -----------------------------------------
 
@@ -1214,8 +1174,6 @@ class ArtifactStore:
                 cache.clear()
             self._deps.clear()
             self._requests.clear()
-            self._bases.clear()
-            self._steps.clear()
             # Held locks are kept, like the prune path: an in-flight
             # builder must stay the only builder for its key.
             self._build_locks = {

@@ -8,17 +8,23 @@ had nothing left to serve and every read raised
 :class:`~repro.errors.StaleViewError`.  The plane keeps history
 instead:
 
-* the store records every ``(db_version, database)`` head here and the
-  plane retains the **last K versions** (``retain``, default
-  :data:`DEFAULT_RETAIN`) — bounded memory, cheap because
-  ``Database.apply`` shares every untouched relation object between
-  versions;
+* the store records every ``(db_version, database)`` head here, with
+  the effective delta that made it, and the plane retains the **last K
+  versions** (``retain``, default :data:`DEFAULT_RETAIN`) — bounded
+  memory, cheap because ``Database.apply`` shares every untouched
+  relation object between versions;
 * prepared views **pin** their version (a per-version refcount); a
   pinned version outlives the K-window until its last view closes, so
   an open view *always* keeps serving its snapshot;
-* when the last view of an out-of-window version closes — or a version
-  with no views falls out of the window — the snapshot is dropped and
-  the store garbage-collects the artifacts cached under it;
+* the store keeps the artifacts cached under a version exactly as long
+  as the plane keeps that version (or until the cache's own capacity
+  evicts them): a read pinned to a retained version finds them warm,
+  and the read after a write patches from the newest older one,
+  stepping through the recorded deltas (:meth:`SnapshotPlane.step`);
+* when a version leaves the plane — a version with no views falls out
+  of the window, or the last view of an out-of-window version closes —
+  its snapshot and delta are dropped and the store garbage-collects the
+  artifacts cached under it;
 * :class:`~repro.errors.StaleViewError` remains only as the fallback
   for reads of an *evicted* version.
 
@@ -49,7 +55,9 @@ class SnapshotPlane:
 
     def __init__(self, retain: int = DEFAULT_RETAIN):
         self.retain = max(1, int(retain))
-        self._snapshots: dict[int, Database] = {}
+        # version -> (the effective delta that made it, its database);
+        # the delta is ``None`` for the first recorded version.
+        self._snapshots: dict[int, tuple] = {}
         self._refs: dict[int, int] = {}
         # Monotonic counters, surfaced in the store's cache_stats().
         self.snapshots_evicted = 0
@@ -58,11 +66,14 @@ class SnapshotPlane:
 
     # -- recording history -------------------------------------------------
 
-    def record(self, version: int, database: Database) -> list[int]:
-        """Register a new head; returns the versions evicted by the
-        K-window (pinned versions are never evicted here — they drain
-        through :meth:`release`)."""
-        self._snapshots[version] = database
+    def record(
+        self, version: int, database: Database, delta=None
+    ) -> list[int]:
+        """Register a new head, made by ``delta`` from the previous
+        one; returns the versions evicted by the K-window (pinned
+        versions are never evicted here — they drain through
+        :meth:`release`)."""
+        self._snapshots[version] = (delta, database)
         keep = self._window()
         evicted = [
             v
@@ -82,7 +93,16 @@ class SnapshotPlane:
 
     def get(self, version: int) -> Database | None:
         """The retained database for ``version`` (``None`` = evicted)."""
-        return self._snapshots.get(version)
+        entry = self._snapshots.get(version)
+        return None if entry is None else entry[1]
+
+    def step(self, version: int) -> tuple | None:
+        """``(delta, database)``: the effective delta that made
+        ``version`` from ``version - 1``, and ``version``'s database;
+        ``None`` when the version was evicted or was the first one
+        recorded."""
+        entry = self._snapshots.get(version)
+        return None if entry is None or entry[0] is None else entry
 
     def __contains__(self, version: int) -> bool:
         return version in self._snapshots
@@ -95,9 +115,6 @@ class SnapshotPlane:
 
     # -- refcounts (view pins) ---------------------------------------------
 
-    def refs(self, version: int) -> int:
-        return self._refs.get(version, 0)
-
     def pin(self, version: int) -> bool:
         """Take a reference on ``version``; ``False`` if it is no
         longer retained (the caller's view is born stale)."""
@@ -109,9 +126,9 @@ class SnapshotPlane:
 
     def release(self, version: int) -> bool:
         """Drop one reference; ``True`` exactly when this was the last
-        view of ``version`` (the caller should GC its artifacts).  An
-        out-of-window version is evicted here, deferred until its last
-        view closed."""
+        view of ``version``.  An out-of-window version is evicted here,
+        deferred until its last view closed (the caller GCs its
+        artifacts once the version is no longer retained)."""
         count = self._refs.get(version, 0)
         if count <= 0:
             return False

@@ -11,6 +11,8 @@ while fresh prepares see N+2 — on every engine.
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 
 import pytest
 
@@ -143,6 +145,163 @@ class TestStoreMVCC:
         store = ArtifactStore(fresh_database(), db_version=7)
         assert store.db_version == 7
         assert store.apply(Delta(inserts={"R": {(9, 9)}})) == 8
+
+
+def answers(access) -> list[tuple]:
+    return [access.tuple_at(i) for i in range(len(access))]
+
+
+def work(store: ArtifactStore) -> tuple[int, int]:
+    """The from-scratch build counters."""
+    return store.stats.bag_materializations, store.stats.forest_builds
+
+
+class TestOneLifetime:
+    """An artifact cached at version ``v`` stays until ``v`` leaves the
+    snapshot plane or the cache's capacity evicts it; its dependency
+    record and request entry live exactly as long."""
+
+    ORDER = ["x", "y", "z"]
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_pinned_read_after_apply_builds_nothing(self, engine):
+        store = ArtifactStore(fresh_database(), engine=engine)
+        before = answers(store.access(PATH, order=self.ORDER))
+        version = store.apply(Delta(inserts={"R": {(9, 2)}}))
+        built = work(store)
+        pinned, served_at = store.access_versioned(
+            PATH, order=self.ORDER, at_version=version - 1
+        )
+        assert served_at == version - 1
+        assert work(store) == built
+        assert answers(pinned) == before
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_a_closed_view_leaves_its_version_warm(self, engine):
+        # The view's last release drains while its version is no
+        # longer the head but is still inside the K = 4 window.
+        conn = connect(fresh_database(), engine=engine)
+        view = conn.prepare(PATH, order=self.ORDER)
+        pinned_at, before = view.db_version, list(view)
+        conn.insert("R", [(9, 2)])
+        view.close()
+        conn.insert("R", [(10, 2)])
+        store = conn.session
+        built = work(store)
+        pinned, _ = store.access_versioned(
+            PATH, order=self.ORDER, at_version=pinned_at
+        )
+        assert work(store) == built
+        assert answers(pinned) == before
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_the_patch_base_is_never_written(self, engine):
+        store = ArtifactStore(fresh_database(), engine=engine)
+        original = store.access(PATH, order=self.ORDER)
+        before = answers(original)
+        version = store.apply(Delta(inserts={"R": {(9, 2)}}))
+        patches, builds = store.stats.forest_patches, store.stats.forest_builds
+        head = store.access(PATH, order=self.ORDER)
+        assert store.stats.forest_patches > patches
+        assert store.stats.forest_builds == builds
+        assert (9, 2, 7) in answers(head)
+        built = work(store)
+        pinned, _ = store.access_versioned(
+            PATH, order=self.ORDER, at_version=version - 1
+        )
+        assert work(store) == built
+        assert pinned is original
+        scratch = ArtifactStore(
+            store.database_at(version - 1), engine=engine
+        ).access(PATH, order=self.ORDER)
+        assert answers(pinned) == answers(scratch) == before
+        for index, row in enumerate(before):
+            assert pinned.rank_of(row) == index
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_dependency_records_never_outnumber_artifacts(self, engine):
+        names = [f"R{i}" for i in range(50)]
+        store = ArtifactStore(
+            {name: {(i, i + 1)} for i, name in enumerate(names)},
+            engine=engine, capacity=2,
+        )
+        for i, name in enumerate(names):
+            assert len(store.access(f"Q(x, y) :- {name}(x, y)")) == 1
+            if i % 10 == 9:
+                store.apply(Delta(inserts={name: {(0, 0)}}))
+            resident = sum(
+                len(store.cache(kind)) for kind in ArtifactStore.KINDS
+            )
+            assert len(store._deps) <= resident
+            assert store.request_count() <= len(store.cache("access"))
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_racing_writes_and_pinned_reads(self, engine):
+        """One writer, five readers at the head and at retained old
+        versions, a capacity that evicts: every answer is its version's,
+        and the records still match the resident artifacts."""
+        store = ArtifactStore(fresh_database(), engine=engine, capacity=3)
+        writes = 12
+
+        def expected(version: int) -> list[tuple]:
+            r_rows = RELATIONS["R"] | {(10 + j, 2) for j in range(version)}
+            return sorted(
+                (x, y, z)
+                for x, y in r_rows
+                for y2, z in RELATIONS["S"]
+                if y == y2
+            )
+
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(6, timeout=10)
+
+        def writer():
+            try:
+                barrier.wait()
+                for j in range(writes):
+                    store.apply(Delta(inserts={"R": {(10 + j, 2)}}))
+            except BaseException as error:  # noqa: BLE001 (collected)
+                errors.append(error)
+
+        def reader(index):
+            try:
+                barrier.wait()
+                for round_ in range(30):
+                    pinned = None
+                    if round_ % 2:
+                        pinned = max(0, store.db_version - 1 - index % 3)
+                    try:
+                        access, version = store.access_versioned(
+                            PATH, order=self.ORDER, at_version=pinned
+                        )
+                    except StaleViewError:
+                        continue  # the window moved past it
+                    assert answers(access) == expected(version), version
+            except BaseException as error:  # noqa: BLE001 (collected)
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(index,))
+            for index in range(5)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert store.db_version == writes
+        resident = sum(len(store.cache(kind)) for kind in store.KINDS)
+        assert len(store._deps) == resident
+        assert store.request_count() <= len(store.cache("access"))
+        retained = set(store.snapshots.versions())
+        for kind in store.KINDS:
+            assert {v for v, _ in store.cache(kind).keys()} <= retained
 
 
 class TestFacadeAcceptance:

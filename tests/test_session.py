@@ -525,9 +525,9 @@ class TestWarmRequestPath:
             self.serve(conn, calls, request)
         assert store.request_count() == 1
         conn.insert("R", [(0, 2)])
-        # No view pins the old version: its entry died with its
-        # artifact.
-        assert store.request_count() == 0
+        # The old version is still retained: its artifact, and with it
+        # its entry, stay at v0.
+        assert store.request_count() == 1
         result, made = self.serve(conn, calls, self.reads(order)[0])
         assert made == {"parse": 1, "plan": 0 if order else 1}
         assert result["answers"] == [
@@ -536,7 +536,18 @@ class TestWarmRequestPath:
         for request in self.reads(order):
             _, made = self.serve(conn, calls, request)
             assert made == {"parse": 0, "plan": 0}
-        assert store.request_count() == 1
+        assert store.request_count() == 2
+        # A read pinned to v0 is still one lookup.
+        _, made = self.serve(conn, calls, self.reads(order, db_version=0)[0])
+        assert made == {"parse": 0, "plan": 0}
+        # With a one-version window, v0 leaves the plane at the insert
+        # and its entry dies with its artifact.
+        narrow = self.connection(retain_versions=1)
+        for request in self.reads(order):
+            self.serve(narrow, calls, request)
+        assert narrow.session.request_count() == 1
+        narrow.insert("R", [(0, 2)])
+        assert narrow.session.request_count() == 0
 
     def test_a_carried_artifact_keeps_its_entry(self, calls):
         conn = self.connection()
