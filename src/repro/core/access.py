@@ -26,9 +26,9 @@ once no matter how many extensions it has.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.preprocessing import Preprocessing
 from repro.data.database import Database
@@ -36,6 +36,19 @@ from repro.engine.base import BagIndex
 from repro.errors import OrderError, OutOfBoundsError, QueryError
 from repro.query.query import JoinQuery
 from repro.query.variable_order import VariableOrder
+
+
+def _picker(positions, encode=None):
+    """A callable: a sequence's items at ``positions`` as a tuple,
+    through ``encode`` if given (no comprehension: it runs per level)."""
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    elif positions:
+        (position,) = positions
+        pick = lambda items: (items[position],)
+    else:
+        pick = lambda items: ()
+    return pick if encode is None else lambda items: encode(pick(items))
 
 
 #: A bag index built from scratch: what changed in it is unknown, so
@@ -185,6 +198,23 @@ class DirectAccess:
         self.built_bag_count = 0
         self.patched_bag_count = 0
         self._indexes, self._total = self._build_counts(forest, base_forest)
+        #: The scalar descent, per free level: the variable, its bag
+        #: index, what picks its interface from the levels above, and
+        #: whether it picks (and encodes) their values, not their keys,
+        #: because one of them keys by another dictionary.
+        self._levels = []
+        for i, variable in enumerate(self._free_prefix):
+            bag_index = self._indexes[i]
+            sources = [self._position[v] for v in self._interface_vars[i]]
+            by_value = any(
+                self._indexes[j].dictionary is not bag_index.dictionary
+                for j in sources
+            )
+            self._levels.append((
+                variable, bag_index,
+                _picker(sources, bag_index.encode if by_value else None),
+                by_value,
+            ))
         #: The counting forest — the cacheable, order-independent
         #: artifact (see the ``forest`` argument).
         self.forest = CountingForest(
@@ -290,24 +320,20 @@ class DirectAccess:
     def _walk_at(self, index: int) -> dict[str, object]:
         """One forest descent for a validated index — the uncounted
         inner walk; engines' batch loops call this so enumeration pays
-        one counter update per *batch*, not one lock per answer."""
+        one counter update per *batch*, not one lock per answer.  Each
+        level's bag index takes its step and hands its key down."""
         remaining = index
         live = self._total
-        assignment: dict[str, object] = {}
-        for i, variable in enumerate(self._free_prefix):
-            bag_index = self._indexes[i]
-            interface = tuple(
-                assignment[v] for v in self._interface_vars[i]
+        keys: list = []
+        answer: dict[str, object] = {}
+        for variable, bag_index, interface_of, by_value in self._levels:
+            # ``answer`` fills in order position, as ``keys`` does.
+            key, answer[variable], remaining, live = bag_index.access_step(
+                interface_of(list(answer.values()) if by_value else keys),
+                remaining, live,
             )
-            group_total = bag_index.total(interface)
-            others = live // group_total
-            values, weights, cumulative = bag_index.groups[interface]
-            block = remaining // others
-            j = bisect_right(cumulative, block) - 1
-            assignment[variable] = values[j]
-            remaining -= others * cumulative[j]
-            live = others * weights[j]
-        return assignment
+            keys.append(key)
+        return answer
 
     def answers_at(
         self, indices: Iterable[int] | Sequence[int]

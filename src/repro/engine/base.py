@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
 from collections.abc import Sequence
@@ -73,49 +73,41 @@ def rank_walk(access, row) -> int | None:
     """The rank of answer ``row``, by one descent of the counting forest.
 
     The exact inverse of ``answer_at``'s recurrence: at each level the
-    candidate list of the current interface group is binary-searched for
-    the row's value, and the cumulative weight strictly before it —
-    scaled by the count of answers per unit of this group (``others``) —
-    is accumulated into the rank.  ``O(ℓ log |D|)``, no enumeration.
+    bag index finds the row's value in the current interface group
+    (:meth:`BagIndex.rank_step`) and adds the weight strictly before
+    it, scaled by the answers per unit of this group, to the rank.
+    ``O(ℓ log |D|)``, no enumeration.
 
     Returns ``None`` when ``row`` is not an answer (wrong arity, value
     absent at some level, or an interface never reached by any answer).
     """
-    prefix = access._free_prefix
-    if not isinstance(row, tuple) or len(row) != len(prefix):
+    if not isinstance(row, tuple) or len(row) != len(access._levels):
         return None
     live = access._total
     if live == 0:
         return None
     rank = 0
-    assignment: dict[str, object] = {}
-    for i, variable in enumerate(prefix):
-        bag_index = access._indexes[i]
-        value = row[i]
-        try:
-            interface = tuple(
-                assignment[v] for v in access._interface_vars[i]
+    keys: list = []
+    try:
+        for i, (_variable, index, interface_of, by_value) in enumerate(
+            access._levels
+        ):
+            step = index.rank_step(
+                interface_of(row if by_value else keys), row[i], rank, live
             )
-            group_total = bag_index.total(interface)
-            if group_total <= 0:
+            if step is None:
                 return None
-            values, weights, cumulative = bag_index.groups[interface]
-            j = bisect_left(values, value)
-            if j >= len(values) or values[j] != value:
-                return None
-        except (KeyError, TypeError):
-            # Unknown interface, unhashable or incomparable value: by
-            # definition not an answer under this order's domain.
-            return None
-        others = live // group_total
-        rank += others * cumulative[j]
-        live = others * weights[j]
-        assignment[variable] = value
+            key, rank, live = step
+            keys.append(key)
+    except (KeyError, TypeError):
+        # No such group, or an unhashable, incomparable or unknown
+        # value: by definition not an answer.
+        return None
     return rank
 
 
 class BagIndex:
-    """Per-bag search structure of the counting forest.
+    """Per-bag search structure of the counting forest (Python engine).
 
     ``groups[s]`` (``s`` = interface value tuple) is a triple of parallel
     lists: candidate values of the bag variable in sorted order, the
@@ -124,18 +116,24 @@ class BagIndex:
     candidate ``j``).  ``totals[s]`` is the group's total weight
     ``W_i(s)``.  Zero-weight candidates are dropped.
 
-    ``aux`` is an engine-private slot: the numpy engine stashes the
-    columnar (CSR-style) mirror of ``groups`` there so batch access can
-    binary-search whole index vectors at once.  Engines that do not use
-    it leave it ``None``.
+    Every bag index answers the calls the scalar descent and a Python
+    parent build read: :meth:`total` (at interface values),
+    :meth:`encode`, :meth:`access_step` and :meth:`rank_step`.  A step
+    takes the interface as a tuple of keys and returns the key it
+    chose, so the walk carries keys down; a key is the value itself
+    here, and ``dictionary`` / ``aux`` are ``None``.  The numpy
+    engine's index (:class:`~repro.engine.numpy_engine.CsrBagIndex`)
+    keys by codes of its ``dictionary`` and is its own ``aux``.
     """
 
-    __slots__ = ("groups", "totals", "aux")
+    __slots__ = ("groups", "totals")
+
+    dictionary = None
+    aux = None
 
     def __init__(self) -> None:
         self.groups: dict[tuple, tuple[list, list[int], list[int]]] = {}
         self.totals: dict[tuple, int] = {}
-        self.aux = None
 
     def build(self, weighted_rows: dict[tuple, int]) -> None:
         by_interface: dict[tuple, dict] = {}
@@ -161,7 +159,33 @@ class BagIndex:
         return cumulative[-1]
 
     def total(self, interface: tuple) -> int:
+        """The total weight of the group at interface *values*."""
         return self.totals.get(interface, 0)
+
+    def encode(self, values: tuple) -> tuple:
+        """This index's keys for interface ``values``."""
+        return values
+
+    def access_step(self, interface, remaining: int, live: int):
+        """One level of the access descent: ``(key, value, remaining,
+        live)`` for the candidate of the group at ``interface`` that
+        answer ``remaining`` (of ``live`` below this prefix) lies in."""
+        others = live // self.totals[interface]
+        values, weights, cumulative = self.groups[interface]
+        j = bisect_right(cumulative, remaining // others) - 1
+        value, before = values[j], cumulative[j]
+        return value, value, remaining - others * before, others * weights[j]
+
+    def rank_step(self, interface, value, rank: int, live: int):
+        """One level of :func:`rank_walk`: ``(key, rank, live)`` past
+        ``value`` in the group at ``interface``, or ``None`` when no
+        candidate there is ``value`` (``KeyError``: no such group)."""
+        values, weights, cumulative = self.groups[interface]
+        j = bisect_left(values, value)
+        if j == len(values) or values[j] != value:
+            return None
+        others = live // self.totals[interface]
+        return value, rank + others * cumulative[j], others * weights[j]
 
 
 class Engine(abc.ABC):

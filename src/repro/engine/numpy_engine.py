@@ -18,15 +18,15 @@ The engine degrades gracefully rather than changing semantics:
   search keys would not fit in ``int64``.
 
 Reads lower by their shape, not by a tuned size: a point read (a batch
-of exactly one index or row) is one scalar descent over the lazily
-decoded groups of :class:`_LazyGroups`, in Python ints; a batch of two
-or more descends level-synchronously in vectorized ``searchsorted``
-calls.  Both give the Python engine's answers bit for bit.
+of exactly one index or row) is one scalar descent that bisects the CSR
+arrays of :class:`CsrBagIndex` in place, decoding one value per level;
+a batch of two or more descends level-synchronously in vectorized
+``searchsorted`` calls.  Both give the Python engine's answers.
 
 Bag tables come out of :meth:`NumpyEngine.join` lexsorted, which is
 what lets a write move them forward instead of rebuilding them: the
 delta's rows are spliced into the sorted table
-(:meth:`NumpyEngine.spliced_table`) and the bag's CSR mirror is patched
+(:meth:`NumpyEngine.spliced_table`) and the bag's CSR arrays are patched
 group by group on fresh arrays (:meth:`NumpyEngine.patch_bag_index`).
 """
 
@@ -45,7 +45,7 @@ from repro.data.columnar import (
     pack_pair,
     shared_dictionary_encode,
 )
-from repro.engine.base import BagIndex, Engine, rank_walk
+from repro.engine.base import Engine, rank_walk
 from repro.engine.python_engine import PythonEngine
 
 
@@ -133,37 +133,29 @@ def _group_totals(aux, sub):
     return np.where(match, aux.totals[clipped], 0)
 
 
-class _BagAux:
-    """Columnar (CSR-style) mirror of a :class:`BagIndex`.
+class CsrBagIndex:
+    """The numpy engine's bag index: CSR arrays, and nothing else.
 
     Groups are lexicographically sorted by interface codes;
     ``offsets[g]:offsets[g+1]`` slices the flat candidate arrays.
     ``cum_before[t]`` is the weight strictly before candidate ``t``
-    within its group.  All arrays are int64 (the build guards overflow).
+    within its group.  Arrays are int64 unless the build widened the
+    weights to object dtype.  The :class:`~repro.engine.base.BagIndex`
+    calls key by codes of ``dictionary``: a step bisects
+    ``group_codes``, then a window of ``cum_before`` (access) or
+    ``values_flat`` (rank), and decodes one value.
     """
 
     __slots__ = (
-        "dictionary",
-        "group_codes",
-        "offsets",
-        "values_flat",
-        "weights_flat",
-        "cum_before",
-        "totals",
-        "max_total",
-        "_shifted",
-        "_val_shifted",
+        "dictionary", "group_codes", "offsets", "values_flat",
+        "weights_flat", "cum_before", "totals", "max_total", "_shifted",
+        "_val_shifted", "_heads", "_last", "_count", "_domain", "_code",
+        "_scalars",
     )
 
     def __init__(
-        self,
-        dictionary,
-        group_codes,
-        offsets,
-        values_flat,
-        weights_flat,
-        cum_before,
-        totals,
+        self, dictionary, group_codes, offsets, values_flat, weights_flat,
+        cum_before, totals,
     ):
         self.dictionary = dictionary
         self.group_codes = group_codes
@@ -175,6 +167,79 @@ class _BagAux:
         self.max_total = int(totals.max()) if len(totals) else 0
         self._shifted = None
         self._val_shifted = None
+        columns = [memoryview(column) for column in group_codes.T]
+        self._heads = columns[:-1]
+        self._last = columns[-1] if columns else None
+        self._count = group_codes.shape[0]
+        # Dictionary.extend() grows both in place.
+        self._domain, self._code = dictionary.values, dictionary._code
+        # What the scalar descent indexes: (offsets, values_flat,
+        # weights_flat, cum_before, totals), each as a memoryview, or
+        # as a list made once where object dtype (counts beyond int64)
+        # leaves no buffer to view.
+        self._scalars = tuple(
+            array.tolist() if array.dtype == np.dtype(object)
+            else memoryview(array)
+            for array in (offsets, values_flat, weights_flat, cum_before,
+                          totals)
+        )
+
+    aux = property(lambda self: self)
+
+    def _group(self, interface) -> int:
+        """The group at interface codes ``interface``, or -1 (every
+        column but the last narrows the range; the last is distinct)."""
+        lo, hi = 0, self._count
+        if self._heads:
+            for column, code in zip(self._heads, interface):
+                lo = bisect_left(column, code, lo, hi)
+                hi = bisect_right(column, code, lo, hi)
+        last = self._last
+        if last is None:
+            return lo if lo < hi else -1
+        code = interface[-1]
+        lo = bisect_left(last, code, lo, hi)
+        return lo if lo < hi and last[lo] == code else -1
+
+    def encode(self, values: tuple) -> tuple:
+        """The codes of ``values``; ``KeyError`` for a value not in
+        the dictionary."""
+        code = self._code
+        return tuple([code[value] for value in values])
+
+    def total(self, interface: tuple) -> int:
+        try:
+            group = self._group(self.encode(interface))
+        except KeyError:
+            return 0
+        return self._scalars[-1][group] if group >= 0 else 0
+
+    def access_step(self, interface, remaining: int, live: int):
+        offsets, values, weights, cumulative, totals = self._scalars
+        group = self._group(interface)
+        others = live // totals[group]
+        j = bisect_right(
+            cumulative, remaining // others, offsets[group],
+            offsets[group + 1],
+        ) - 1
+        code = values[j]
+        return (
+            code, self._domain[code], remaining - others * cumulative[j],
+            others * weights[j],
+        )
+
+    def rank_step(self, interface, value, rank: int, live: int):
+        code = self._code.get(value)
+        group = self._group(interface)
+        if code is None or group < 0:
+            return None
+        offsets, values, weights, cumulative, totals = self._scalars
+        end = offsets[group + 1]
+        j = bisect_left(values, code, offsets[group], end)
+        if j == end or values[j] != code:
+            return None
+        others = live // totals[group]
+        return code, rank + others * cumulative[j], others * weights[j]
 
     def cum_shifted(self):
         """``cum_before`` offset by ``group_id * (max_total + 1)``.
@@ -203,91 +268,6 @@ class _BagAux:
             gid = np.repeat(np.arange(len(counts)), counts)
             self._val_shifted = self.values_flat + gid * stride
         return self._val_shifted
-
-
-def bag_index_from_aux(aux: "_BagAux") -> BagIndex:
-    """Rebuild a full :class:`BagIndex` from its CSR mirror.
-
-    Totals are decoded eagerly (needed by parent builds and any
-    Python-path fallback); the per-group candidate lists are
-    materialized lazily from the CSR mirror with exactly the structure
-    the Python engine builds.  The tail of every numpy bag build, the
-    empty bag included.
-    """
-    index = BagIndex()
-    index.aux = aux
-    domain = aux.dictionary.values
-    index.totals = {
-        tuple(domain[c] for c in key_codes): total
-        for key_codes, total in zip(
-            aux.group_codes.tolist(), aux.totals.tolist()
-        )
-    }
-    index.groups = _LazyGroups(aux, index.totals)
-    return index
-
-
-class _LazyGroups(dict):
-    """``BagIndex.groups`` decoded from the CSR mirror on demand.
-
-    Decoding every candidate back to Python objects eagerly would cost
-    O(rows) per bag and double the index's memory; a scalar descent
-    only ever touches a handful of interface groups, so each group is
-    materialized (with exactly the structure the Python engine builds)
-    on first access and then cached like a normal dict entry.  Every
-    numpy point read (``answer_at``, and ``batch_access`` /
-    ``batch_rank`` of one) walks these groups, so a decoded group lives
-    as long as the forest.  Concurrent readers may decode the same
-    group at once; the write is once-only (``setdefault``), so all of
-    them get the same triple.
-
-    ``totals`` (the index's own dict) says which groups exist; a group
-    is located by binary search over ``group_codes``, so no per-group
-    position map has to be built, or rebuilt when a patch shifts the
-    groups.
-    """
-
-    __slots__ = ("_aux", "_totals")
-
-    def __init__(self, aux: "_BagAux", totals: dict):
-        super().__init__()
-        self._aux = aux
-        self._totals = totals
-
-    def __contains__(self, interface) -> bool:
-        return (
-            super().__contains__(interface)
-            or interface in self._totals
-        )
-
-    def __missing__(self, interface):
-        if interface not in self._totals:
-            raise KeyError(interface)
-        aux = self._aux
-        code = aux.dictionary._code
-        # Narrow the sorted group codes one column at a time: a scalar
-        # binary search, like the rest of the point-read descent.
-        group, end = 0, aux.group_codes.shape[0]
-        for column, value in enumerate(interface):
-            keys = aux.group_codes[:, column]
-            wanted = code[value]
-            group, end = (
-                bisect_left(keys, wanted, group, end),
-                bisect_right(keys, wanted, group, end),
-            )
-        start = int(aux.offsets[group])
-        end = int(aux.offsets[group + 1])
-        domain = aux.dictionary.values
-        weights = aux.weights_flat[start:end]
-        cumulative = [0]
-        cumulative.extend(
-            (aux.cum_before[start:end] + weights).tolist()
-        )
-        weights = weights.tolist()
-        values = [
-            domain[c] for c in aux.values_flat[start:end].tolist()
-        ]
-        return self.setdefault(interface, (values, weights, cumulative))
 
 
 class NumpyEngine(Engine):
@@ -618,18 +598,6 @@ class NumpyEngine(Engine):
         codes = ct.codes[keep]
         weights = weights[keep]
         m = codes.shape[0]
-        if m == 0:
-            return bag_index_from_aux(
-                _BagAux(
-                    ct.dictionary,
-                    np.empty((0, k), dtype=np.int64),
-                    np.zeros(1, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            )
 
         # Group by interface, order by bag-variable code: one lexsort
         # (codes are order-preserving, so this is the value order), then
@@ -646,11 +614,10 @@ class NumpyEngine(Engine):
             change = np.any(
                 codes[1:, :k] != codes[:-1, :k], axis=1
             )
-            starts = np.concatenate(
-                [[0], np.flatnonzero(change) + 1]
-            ).astype(np.int64)
+            starts = np.concatenate([[0], np.flatnonzero(change) + 1])
         else:
-            starts = np.zeros(1, dtype=np.int64)
+            starts = np.zeros(1)
+        starts = starts[:m].astype(np.int64)  # an empty bag: no groups
         offsets = np.concatenate([starts, [m]]).astype(np.int64)
         counts = np.diff(offsets)
         csum = np.cumsum(weights)
@@ -660,16 +627,14 @@ class NumpyEngine(Engine):
         totals = csum[offsets[1:] - 1] - base
         if projected:
             totals = np.ones_like(totals)
-        return bag_index_from_aux(
-            _BagAux(
-                ct.dictionary,
-                np.ascontiguousarray(codes[starts][:, :k]),
-                offsets,
-                np.ascontiguousarray(codes[:, k]),
-                weights,
-                cum_before,
-                totals,
-            )
+        return CsrBagIndex(
+            ct.dictionary,
+            np.ascontiguousarray(codes[starts][:, :k]),
+            offsets,
+            np.ascontiguousarray(codes[:, k]),
+            weights,
+            cum_before,
+            totals,
         )
 
     # -- incremental maintenance -------------------------------------------
@@ -746,7 +711,7 @@ class NumpyEngine(Engine):
         self, index, table, changes, child_slots, child_changes,
         projected,
     ):
-        """Patch a bag's ``_BagAux`` group by group, on fresh arrays.
+        """Patch a bag's CSR arrays group by group, on fresh arrays.
 
         The rows whose weight may have moved are the spliced rows
         (``changes``) plus every row whose child interface is a key in
@@ -754,10 +719,10 @@ class NumpyEngine(Engine):
         from its old candidates (minus the touched ones) and the
         touched rows still in the table, with their weights recomputed
         from the children's current totals; every other group's
-        slice of the flat arrays is copied as it was.  ``totals`` is
-        carried as a copy of the old dict with the touched groups
-        rewritten; decoded groups start empty, as after a build (a
-        carried decode cache would grow with every version).
+        slice of the flat arrays is copied as it was.  The patched
+        index is a new :class:`CsrBagIndex` over those arrays, as a
+        build would return it: nothing is decoded, so a point read
+        into any group of it is as fast as into a warm one.
         Object-dtype weights, a weight bound that
         would need them, a child over another dictionary or with an
         empty interface return ``None``: the caller rebuilds.
@@ -828,25 +793,21 @@ class NumpyEngine(Engine):
             found = _found(kb, ka)
         old_counts = np.diff(aux.offsets)
         offsets = aux.offsets
-        parts: dict[str, list] = {
-            name: [] for name in ("values", "weights", "cum", "counts",
-                                  "codes", "totals")
-        }
+        # Runs of groups, in order, as (group_codes, counts, values_flat,
+        # weights_flat, cum_before, totals) slices of the patched index.
+        pieces: list[tuple] = []
 
         def carry(first: int, last: int) -> None:
             """Old groups ``[first, last)``, unchanged."""
             if last <= first:
                 return
             lo, hi = int(offsets[first]), int(offsets[last])
-            parts["values"].append(aux.values_flat[lo:hi])
-            parts["weights"].append(aux.weights_flat[lo:hi])
-            parts["cum"].append(aux.cum_before[lo:hi])
-            parts["counts"].append(old_counts[first:last])
-            parts["codes"].append(aux.group_codes[first:last])
-            parts["totals"].append(aux.totals[first:last])
+            pieces.append((
+                aux.group_codes[first:last], old_counts[first:last],
+                aux.values_flat[lo:hi], aux.weights_flat[lo:hi],
+                aux.cum_before[lo:hi], aux.totals[first:last],
+            ))
 
-        totals = dict(index.totals)
-        domain = ct.dictionary.values
         changed = []
         cursor = 0
         for t in range(len(starts)):
@@ -876,40 +837,28 @@ class NumpyEngine(Engine):
             if len(values):
                 csum = np.cumsum(group_weights)
                 total = 1 if projected else int(csum[-1])
-                parts["values"].append(values)
-                parts["weights"].append(group_weights)
-                parts["cum"].append(csum - group_weights)
-                parts["counts"].append(np.array([len(values)]))
-                parts["codes"].append(group_keys[t:t + 1])
-                parts["totals"].append(np.array([total], dtype=np.int64))
-            interface = tuple(domain[c] for c in group_keys[t].tolist())
-            if total:
-                totals[interface] = total
-            else:
-                totals.pop(interface, None)
+                pieces.append((
+                    group_keys[t:t + 1], np.array([len(values)]), values,
+                    group_weights, csum - group_weights,
+                    np.array([total], dtype=np.int64),
+                ))
             if total != old_total:
                 changed.append(t)
         carry(cursor, old_groups)
 
-        def joined(name, empty):
-            return np.concatenate([empty, *parts[name]])
-
         flat = np.empty(0, dtype=np.int64)
-        counts = joined("counts", flat)
-        patched = _BagAux(
-            ct.dictionary,
-            joined("codes", np.empty((0, k), dtype=np.int64)),
-            np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-            joined("values", flat),
-            joined("weights", flat),
-            joined("cum", flat),
-            joined("totals", flat),
+        codes, counts, *arrays = (
+            np.concatenate(column) for column in zip(
+                (np.empty((0, k), dtype=np.int64), flat, flat, flat, flat,
+                 flat),
+                *pieces,
+            )
         )
-        out = BagIndex()
-        out.aux = patched
-        out.totals = totals
-        out.groups = _LazyGroups(patched, totals)
-        return out, (group_keys[changed] if changed else None)
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        return (
+            CsrBagIndex(ct.dictionary, codes, offsets, *arrays),
+            group_keys[changed] if changed else None,
+        )
 
     # -- database preparation ----------------------------------------------
 
@@ -966,9 +915,9 @@ class NumpyEngine(Engine):
     def batch_access(self, access, indices):
         """Answers at validated indices; a batch descends vectorized.
 
-        A point read (exactly one index) is one scalar descent over the
-        decoded groups: the vector walk's per-level numpy calls cost
-        more than the whole descent of one lane.  Two or more indices
+        A point read (exactly one index) is one scalar descent that
+        bisects the CSR arrays in place: the vector walk's per-level
+        numpy calls cost more than the whole descent of one lane.  Two or more indices
         walk the forest level-synchronously: per level one
         ``searchsorted`` finds every lane's interface group and one more
         its candidate.
@@ -1047,10 +996,10 @@ class NumpyEngine(Engine):
         """Inverse access; a batch of rows descends level-synchronously.
 
         A point read (exactly one row) is one scalar :func:`rank_walk`
-        over the decoded groups.  For two or more rows, per level one
+        that bisects the CSR arrays in place.  For two or more rows, per level one
         ``searchsorted`` locates every row's interface group and one
         more its candidate position inside the group (via the
-        :meth:`_BagAux.values_shifted` globally-ascending trick); rows
+        :meth:`CsrBagIndex.values_shifted` globally-ascending trick); rows
         whose value or interface is absent are masked out and come back
         ``None``.  The recurrence is the exact inverse of
         :meth:`batch_access`, so ranks round-trip.

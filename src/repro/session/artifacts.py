@@ -504,24 +504,34 @@ class ArtifactStore:
     def _drain_releases(self) -> None:
         if not self._pending_releases:
             return
+        freed: list = []
         with self._registry_lock:
             while True:
                 try:
                     version = self._pending_releases.popleft()
                 except IndexError:
                     break
+                database = self.snapshots.get(version)
                 self.snapshots.release(version)
                 if version not in self.snapshots:
-                    self._purge_versions({version})
+                    freed.append(database)
+                    freed.extend(self._purge_versions({version}))
+        # ``freed`` goes with this frame, after the lock: see
+        # :meth:`_purge_versions`.
 
-    def _purge_versions(self, versions: set[int]) -> None:
-        # Registry lock held by the caller: drop every artifact cached
-        # under a no-longer-retained version.
+    def _purge_versions(self, versions) -> list:
+        # Registry lock held by the caller: pop every artifact cached
+        # under a no-longer-retained version, and return them.  The
+        # caller lets them go after the lock, because freeing a
+        # version's forests and tables takes milliseconds that every
+        # ``lookup`` would otherwise wait out.
+        popped = []
         for kind in self.KINDS:
             for vkey in self._caches[kind].keys():
                 if vkey[0] in versions:
-                    self._drop(kind, vkey)
+                    popped.append(self._drop(kind, vkey))
                     self.stats.artifacts_gcd += 1
+        return popped
 
     def _drop(self, kind: str, vkey: tuple):
         # Registry lock held by the caller: remove one artifact with
@@ -1097,9 +1107,7 @@ class ArtifactStore:
                 else:
                     self.stats.full_reencodes += 1
                 self.stats.rows_encoded += rows_encoded
-                evicted = set(
-                    self.snapshots.record(new, new_database, delta)
-                )
+                evicted = self.snapshots.record(new, new_database, delta)
                 for kind in self.KINDS:
                     cache = self._caches[kind]
                     for vkey in cache.keys():
@@ -1121,7 +1129,10 @@ class ArtifactStore:
                             self.stats.artifacts_invalidated += 1
                             if old not in evicted:
                                 self.stats.artifacts_retained += 1
-                self._purge_versions(evicted)
+                freed = self._purge_versions(evicted)
+            # The evicted databases and artifacts are let go here,
+            # after the registry lock (see _purge_versions).
+            del evicted, freed
             return new
 
     def take_base(self, kind: str, key, version: int):

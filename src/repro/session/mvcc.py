@@ -68,18 +68,19 @@ class SnapshotPlane:
 
     def record(
         self, version: int, database: Database, delta=None
-    ) -> list[int]:
+    ) -> dict[int, Database]:
         """Register a new head, made by ``delta`` from the previous
-        one; returns the versions evicted by the K-window (pinned
-        versions are never evicted here — they drain through
+        one; returns the versions evicted by the K-window, each with
+        its database, so the caller can let them go outside its lock
+        (pinned versions are never evicted here — they drain through
         :meth:`release`)."""
         self._snapshots[version] = (delta, database)
         keep = self._window()
-        evicted = [
-            v
+        evicted = {
+            v: self._snapshots[v][1]
             for v in list(self._snapshots)
             if v not in keep and self._refs.get(v, 0) == 0
-        ]
+        }
         for v in evicted:
             del self._snapshots[v]
             self._refs.pop(v, None)

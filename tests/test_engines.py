@@ -418,8 +418,8 @@ def test_object_dtype_child_propagates_to_int64_parent():
     parent = engine.build_bag_index(parent_table, [(child, [1])], False)
     assert parent.aux is not None
     assert parent.aux.weights_flat.dtype == np.dtype(object)
-    assert parent.totals[(0,)] == 3  # y=1 weighs 2, y=2 weighs 1
-    assert parent.totals[(5,)] == 2
+    assert parent.total((0,)) == 3  # y=1 weighs 2, y=2 weighs 1
+    assert parent.total((5,)) == 2
 
 
 # -- live mutations (cross-engine differential) ---------------------------
@@ -784,6 +784,51 @@ def test_point_read_equals_batch_read_over_object_dtype_bags():
     )
 
 
+def _point_read_allocations(size: int, engine: str) -> list[int]:
+    """Peak bytes a ``view[i]`` and a ``view.rank(t)`` allocate in a
+    never-touched group of ``size`` candidates: on a fresh build, then
+    on the forest a one-row ``apply`` patched."""
+    import tracemalloc
+
+    from repro import Delta, connect
+
+    conn = connect(
+        {"R": {(x, y) for x in range(3) for y in range(size)}},
+        engine=engine,
+    )
+    query, order = "Q(x, y) :- R(x, y)", ["x", "y"]
+    peaks = []
+
+    def peak(read):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        read()
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    tracemalloc.start()
+    try:
+        for _stage in ("fresh", "patched"):
+            view = conn.prepare(query, order=order)
+            view[0], view.rank((0, 0))  # warm the view on group x=0
+            peak(lambda: view[size + size // 2])  # group x=1
+            peak(lambda: view.rank((2, size // 3)))  # group x=2
+            conn.apply(Delta(inserts={"R": {(0, size)}}))  # code-stable
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_point_reads_allocate_alike_in_small_and_large_groups(engine):
+    """Tripwire: a point read into a never-touched group allocates
+    O(ℓ) objects, not O(group) — nothing is decoded on first touch,
+    on a fresh build or right after a patch."""
+    small = _point_read_allocations(10, engine)
+    large = _point_read_allocations(10_000, engine)
+    for few, many in zip(small, large):
+        assert abs(many - few) <= 1024, (small, large)
+
+
 class _CountingNumpy:
     """``numpy`` with a call counter on ``searchsorted``."""
 
@@ -843,33 +888,29 @@ def test_point_reads_never_enter_the_vector_kernel(monkeypatch):
 
 @needs_numpy
 def test_concurrent_first_touch_of_lazy_groups():
-    """Handler threads share one forest: four threads decoding the same
-    fresh groups at once all answer like the Python engine, raise no
-    ``KeyError`` and are handed one and the same decoded triple."""
+    """Handler threads share one freshly patched forest: four threads
+    reading its never-touched groups at once all answer like the
+    Python engine and raise no ``KeyError``."""
     import sys
     import threading
 
-    from repro import connect
+    from repro import Delta, connect
 
     database = {
         "R": {(i, i % 17) for i in range(300)},
         "S": {(j, k) for j in range(17) for k in range(j % 5 + 1)},
     }
+    delta = Delta(inserts={"R": {(0, 1)}})  # values already encoded
     query, order = "Q(x, y, z) :- R(x, y), S(y, z)", ["y", "z", "x"]
-    expected = list(
-        connect(database, engine="python").prepare(query, order=order)
-    )
+    oracle = connect(database, engine="python")
+    oracle.apply(delta)
+    expected = list(oracle.prepare(query, order=order))
     workers = 4
 
     def race(view):
-        """Per thread: its answers and the triple each lookup got."""
-        indexes = view._access._indexes
-        # Each thread mixes point reads with direct group lookups in
-        # its own order, so first touches race both ways.
+        """Per thread: its answers and its ranks of every answer."""
         tasks = [("read", i) for i in range(len(expected))] + [
-            ("group", level, interface)
-            for level, index in enumerate(indexes)
-            for interface in index.totals
+            ("rank", i) for i in range(len(expected))
         ]
         barrier = threading.Barrier(workers)
         results: list = [None] * workers
@@ -879,19 +920,16 @@ def test_concurrent_first_touch_of_lazy_groups():
             try:
                 mine = list(tasks)
                 random.Random(slot).shuffle(mine)
-                got, handed = {}, {}
+                got = {}
                 barrier.wait()
                 for task in mine:
                     if task[0] == "read":
-                        got[task[1]] = view[task[1]]
+                        got[task] = view[task[1]]
                     else:
-                        _, level, interface = task
-                        handed[level, interface] = indexes[
-                            level
-                        ].groups[interface]
+                        got[task] = view.rank(expected[task[1]])
                 results[slot] = (
-                    [got[i] for i in range(len(expected))],
-                    handed,
+                    [got["read", i] for i in range(len(expected))],
+                    [got["rank", i] for i in range(len(expected))],
                 )
             except BaseException as error:  # noqa: BLE001 -- asserted below
                 errors.append(error)
@@ -911,15 +949,16 @@ def test_concurrent_first_touch_of_lazy_groups():
     sys.setswitchinterval(1e-6)
     try:
         for _round in range(8):
-            view = connect(database, engine="numpy").prepare(
-                query, order=order
-            )
-            results = race(view)
-            assert all(answers == expected for answers, _ in results)
-            first = results[0][1]
-            for key, triple in first.items():
-                assert all(
-                    handed[key] is triple for _, handed in results[1:]
-                ), key
+            conn = connect(database, engine="numpy")
+            conn.prepare(query, order=order)
+            conn.apply(delta)
+            before = conn.stats()
+            view = conn.prepare(query, order=order)
+            after = conn.stats()
+            assert after["forest_builds"] == before["forest_builds"]
+            assert after["forest_patches"] > before["forest_patches"]
+            for answers, ranks in race(view):
+                assert answers == expected
+                assert ranks == list(range(len(expected)))
     finally:
         sys.setswitchinterval(interval)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -38,9 +39,9 @@ def db(n: int) -> Database:
 class TestSnapshotPlane:
     def test_window_retains_the_last_k_versions(self):
         plane = SnapshotPlane(retain=2)
-        assert plane.record(0, db(0)) == []
-        assert plane.record(1, db(1)) == []
-        assert plane.record(2, db(2)) == [0]
+        assert plane.record(0, db(0)) == {}
+        assert plane.record(1, db(1)) == {}
+        assert plane.record(2, db(2)) == {0: db(0)}
         assert plane.versions() == (1, 2)
         assert plane.get(1) == db(1)
         assert plane.get(0) is None
@@ -51,7 +52,7 @@ class TestSnapshotPlane:
         plane = SnapshotPlane(retain=1)
         plane.record(0, db(0))
         assert plane.pin(0)
-        assert plane.record(1, db(1)) == []  # pinned: not evicted
+        assert plane.record(1, db(1)) == {}  # pinned: not evicted
         assert plane.get(0) == db(0)
         # Second pin on the same version: last release is the trigger.
         assert plane.pin(0)
@@ -217,6 +218,46 @@ class TestOneLifetime:
         assert answers(pinned) == answers(scratch) == before
         for index, row in enumerate(before):
             assert pinned.rank_of(row) == index
+
+    @staticmethod
+    def lock_states_at_free(store, artifact) -> list[bool]:
+        """Whether the registry lock was held when ``artifact`` was
+        freed (empty until it is)."""
+        states: list[bool] = []
+        weakref.finalize(
+            artifact,
+            lambda: states.append(store._registry_lock.locked()),
+        )
+        return states
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_apply_frees_evicted_versions_after_the_lock(self, engine):
+        store = ArtifactStore(
+            fresh_database(), engine=engine, retain_versions=1
+        )
+        states = self.lock_states_at_free(
+            store, store.access(PATH, order=self.ORDER)
+        )
+        gc.collect()
+        store.apply(Delta(inserts={"R": {(9, 2)}}))  # evicts version 0
+        assert states == [False]
+
+    @pytest.mark.parametrize("engine", repro.available_engines())
+    def test_closing_the_last_view_frees_its_version_after_the_lock(
+        self, engine
+    ):
+        conn = connect(fresh_database(), engine=engine, retain_versions=1)
+        view = conn.prepare(PATH, order=self.ORDER)
+        store = conn.session
+        states = self.lock_states_at_free(store, view._access)
+        conn.insert("R", [(9, 2)])  # version 0 leaves the window, pinned
+        gc.collect()
+        assert states == []
+        view.close()
+        del view
+        assert store.is_readable(1)  # drains the release
+        assert 0 not in store.snapshots
+        assert states == [False]
 
     @pytest.mark.parametrize("engine", repro.available_engines())
     def test_dependency_records_never_outnumber_artifacts(self, engine):
