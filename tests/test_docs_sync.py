@@ -119,17 +119,26 @@ class TestProtocolSpecSync:
 
 class TestArchitectureDocSync:
     def test_layers_name_real_modules(self, architecture_doc):
-        """Every `src/...` path the architecture page cites exists."""
+        """Every `src/...` path the architecture page cites, and every
+        `benchmarks/...` and `tests/...` path it or the README cites,
+        exists."""
         root = DOCS.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
         cited = set(
             re.findall(r"`(src/repro/[\w/.]+)`", architecture_doc)
         )
         assert cited, "architecture.md should cite concrete modules"
+        cited |= set(
+            re.findall(
+                r"`((?:benchmarks|tests)/[\w/.]+)",
+                architecture_doc + readme,
+            )
+        )
         missing = {
             path for path in cited if not (root / path).exists()
         }
         assert not missing, (
-            f"architecture.md cites nonexistent modules: "
+            f"architecture.md or README.md cites nonexistent paths: "
             f"{sorted(missing)}"
         )
 

@@ -5,19 +5,37 @@ tables" of a theory paper: worked examples and theorem-level facts that
 can be executed.
 """
 
+import importlib
+import math
+from collections import Counter
 from fractions import Fraction
+from statistics import linear_regression
 
+import pytest
+
+from repro.core.access import DirectAccess
+from repro.core.counting import CountingFromDirectAccess, PrefixConstraint
 from repro.core.decomposition import (
     DisruptionFreeDecomposition,
     incompatibility_number,
 )
 from repro.core.htw import fractional_hypertree_width
 from repro.core.orderless import OrderlessFourCycleAccess
-from repro.data.generators import random_database
+from repro.core.preprocessing import Preprocessing
+from repro.core.projections import partial_order_access
+from repro.core.tasks import boxplot, median
+from repro.data.database import Database
+from repro.data.generators import (
+    agm_worstcase_triangle_database,
+    bipartite_path_database,
+    functional_path_database,
+    random_database,
+)
+from repro.engine import available_engines, use_engine
 from repro.hypergraph.disruptive_trios import has_disruptive_trio
 from repro.hypergraph.gyo import is_acyclic
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.joins.generic_join import evaluate
+from repro.joins.generic_join import evaluate, tables_of_query
 from repro.lowerbounds.star_queries import StarEmbedding
 from repro.query.catalog import (
     example5_order,
@@ -25,7 +43,12 @@ from repro.query.catalog import (
     example18_query,
     four_cycle_query,
     loomis_whitney_query,
+    path_query,
+    projected_star_query,
+    star_bad_order,
+    star_good_order,
     star_query,
+    triangle_query,
 )
 from repro.query.variable_order import VariableOrder, all_orders
 
@@ -129,8 +152,6 @@ class TestSection8Claims:
         """Lemma 48: orderless preprocessing stays within |D|^{3/2}."""
         n = 10
         full = {(a, b) for a in range(n) for b in range(n)}
-        from repro.data.database import Database
-
         db = Database(
             {"R1": full, "R2": full, "R3": full, "R4": full}
         )
@@ -138,8 +159,6 @@ class TestSection8Claims:
         assert len(access) == n ** 4
         assert access.bag_budget <= len(db) ** 1.5
         # a lexicographic engine materializes an ι=2-sized bag instead
-        from repro.core.preprocessing import Preprocessing
-
         prep = Preprocessing(
             four_cycle_query(),
             VariableOrder(["x1", "x2", "x3", "x4"]),
@@ -152,14 +171,18 @@ class TestAGMBound:
     """Theorem 2 (AGM): output size <= |D|^{ρ*}, tight on worst cases."""
 
     def test_triangle_worst_case_is_tight(self):
-        from repro.data.generators import agm_worstcase_triangle_database
-        from repro.query.catalog import triangle_query
-
-        side = 6
-        db = agm_worstcase_triangle_database(side)
-        output = evaluate(triangle_query(), db)
-        per_relation = side * side
-        assert len(output) == per_relation ** Fraction(3, 2)
+        """Theorem 53's instance: exactly ``side³ = (|D|/3)^{3/2}``
+        answers at ``|D| = 3·side²``, on every engine."""
+        sides = [2, 4, 6, 8]
+        for engine in available_engines():
+            with use_engine(engine):
+                counts = [
+                    len(evaluate(
+                        triangle_query(), agm_worstcase_triangle_database(s)
+                    ))
+                    for s in sides
+                ]
+            assert counts == [s ** 3 for s in sides]
 
     def test_loomis_whitney_output_bounded(self):
         q = loomis_whitney_query(3)
@@ -183,3 +206,185 @@ class TestSelfJoinInvariance:
             assert incompatibility_number(
                 q, order
             ) == incompatibility_number(sf, order)
+
+
+# -- The experiments (E1–E13), counted: on every engine, on operation
+# counts (rows, tables, bisections, walks), never on wall-clock time.
+
+ENGINES = available_engines()
+X3 = VariableOrder(["x1", "x2", "x3"])
+SCALES = [4, 8, 16, 32]
+
+
+def _slope(sizes, counts) -> float:
+    """The least-squares slope of log(count) on log(size)."""
+    return linear_regression(
+        [math.log(s) for s in sizes], [math.log(c) for c in counts]
+    ).slope
+
+
+def _grid(rows: int, cols: int) -> set:
+    return {(a, b) for a in range(rows) for b in range(cols)}
+
+
+def _dense_cycle(scale: int) -> Database:
+    """The 4-cycle with ``x2``, ``x4`` over 4 values: lexicographic bags
+    hold ``4·scale²`` rows, Lemma 48's subqueries ``O(scale)``."""
+    tall, wide = _grid(scale, 4), _grid(4, scale)
+    return Database({"R1": tall, "R2": wide, "R3": tall, "R4": wide})
+
+
+FAMILIES = {  # name: (ι, scale -> (query, order, database))
+    "2-path": (1, lambda s: (
+        path_query(2), X3, functional_path_database(2, s, seed=3))),
+    "star, centre first": (1, lambda s: (
+        star_query(2), star_good_order(2),
+        Database({"R1": _grid(s, 12), "R2": _grid(s, 12)}))),
+    "triangle grid": (1.5, lambda s: (
+        triangle_query(), X3, agm_worstcase_triangle_database(s))),
+    "star, centre last": (2, lambda s: (
+        star_query(2), star_bad_order(2),
+        Database({"R1": _grid(s, 12), "R2": _grid(s, 12)}))),
+    "4-cycle, lexicographic": (2, lambda s: (
+        four_cycle_query(), VariableOrder(["x1", "x2", "x3", "x4"]),
+        _dense_cycle(s))),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_largest_bag_grows_as_iota(engine, family):
+    """Theorem 10 / Corollary 46: the largest bag grows as |D|^ι, so
+    the order alone decides the exponent (the star's two orders)."""
+    iota, case = FAMILIES[family]
+    sizes, bags = [], []
+    with use_engine(engine):
+        for query, order, database in map(case, SCALES):
+            prep = Preprocessing(query, order, database)
+            sizes.append(len(database))
+            bags.append(max(len(p.table) for p in prep.bags))
+    assert _slope(sizes, bags) == pytest.approx(iota, abs=0.1)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_orderless_four_cycle_stays_linear(engine):
+    """Lemma 48: where every lexicographic bag of the 4-cycle is
+    quadratic, the orderless structure's bags grow linearly."""
+    with use_engine(engine):
+        budgets = [
+            OrderlessFourCycleAccess(_dense_cycle(s)).bag_budget
+            for s in SCALES
+        ]
+    assert _slope(SCALES, budgets) == pytest.approx(1, abs=0.1)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bags_never_build_a_pairwise_intermediate(engine, monkeypatch):
+    """Theorem 10 joins bags with Generic Join: on hub-shaped data (each
+    relation the star K_{1,n} both ways) no table preprocessing builds
+    outgrows |D|, while a pairwise plan's first join is quadratic."""
+    peak = [0]
+    sizes, peaks, pairwise = [], [], []
+    with use_engine(engine) as active:
+        for name in ("join", "natural_join", "semijoin", "project", "select"):
+            def counted(*args, _method=getattr(active, name)):
+                table = _method(*args)
+                peak[0] = max(peak[0], len(table))
+                return table
+
+            monkeypatch.setattr(active, name, counted)
+        for n in (25, 50, 100, 200):
+            star = {(0, i) for i in range(1, n + 1)}
+            star |= {(i, 0) for _, i in star}
+            database = Database({"R1": star, "R2": star, "R3": star})
+            peak[0] = 0
+            Preprocessing(triangle_query(), X3, database)
+            sizes.append(len(database))
+            peaks.append(peak[0])
+            first, second, _ = tables_of_query(triangle_query(), database)
+            pairwise.append(len(first.natural_join(second)))
+    assert _slope(sizes, peaks) == pytest.approx(1, abs=0.1)
+    assert _slope(sizes, pairwise) > 1.9
+
+
+BAG_INDEX_MODULES = {
+    "python": "repro.engine.base",
+    "numpy": "repro.engine.numpy_engine",
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_access_bisects_per_level_at_any_size(engine, monkeypatch):
+    """Theorems 1 and 50: one access is one bisection or two per level
+    of the order, as many at |D| as at 8·|D| (the 2-path's 3 levels,
+    the projected star's 2 free ones)."""
+    module = importlib.import_module(BAG_INDEX_MODULES[engine])
+    calls = [0]
+    for name in ("bisect_left", "bisect_right"):
+        def counted(*args, _bisect=getattr(module, name)):
+            calls[0] += 1
+            return _bisect(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    seen = {3: set(), 2: set()}
+    with use_engine(engine):
+        for rows in (100, 800):
+            cases = {
+                3: DirectAccess(
+                    path_query(2), X3, functional_path_database(2, rows)
+                ),
+                2: partial_order_access(
+                    projected_star_query(2), VariableOrder(["x1", "x2"]),
+                    Database({"R1": _grid(3, rows), "R2": _grid(3, rows)}),
+                ),
+            }
+            for levels, access in cases.items():
+                for index in (0, len(access) // 2, len(access) - 1):
+                    calls[0] = 0
+                    access.tuple_at(index)
+                    seen[levels].add(calls[0])
+    for levels, counts in seen.items():
+        (count,) = counts  # every index, at |D| and at 8·|D|
+        assert levels <= count <= 2 * levels, (levels, count)
+
+
+def _delta(counters, action) -> Counter:
+    before = counters.snapshot()
+    action()
+    return Counter(counters.snapshot()) - Counter(before)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_order_statistics_take_logarithmically_many_walks(engine):
+    """Proposition 35: a median is one access, a boxplot one batch of
+    five, and a prefix count two binary searches of access walks."""
+    with use_engine(engine) as active:
+        for rows in (500, 4000):
+            access = DirectAccess(
+                path_query(2), X3, functional_path_database(2, rows, seed=2)
+            )
+            counter = CountingFromDirectAccess(access)
+            constraint = PrefixConstraint((), rows // 4, rows // 2)
+            walks = _delta(active.counters, lambda: counter.count(constraint))
+            assert set(walks) == {"answer_walks"}
+            assert walks["answer_walks"] <= 2 * math.ceil(math.log2(rows)) + 2
+            assert _delta(active.counters, lambda: median(access)) == {
+                "answer_walks": 1
+            }
+            assert _delta(active.counters, lambda: boxplot(access)) == {
+                "access_batches": 1, "access_indices": 5
+            }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_direct_access_skips_the_output_blowup(engine):
+    """§1: on a 2-path whose output is 150× its input, the bags stay
+    linear in |D| and sampled answers equal the materialized sort."""
+    database = bipartite_path_database(300, 1)
+    with use_engine(engine):
+        access = DirectAccess(path_query(2), X3, database)
+        assert len(access) == 150 * len(database)
+        assert access.preprocessing.materialized_size() <= 2 * len(database)
+        answers = sorted(evaluate(path_query(2), database, list(X3)).rows)
+    for index in range(0, len(answers), 997):
+        assert access.tuple_at(index) == answers[index]

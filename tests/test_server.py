@@ -910,7 +910,9 @@ class TestOneWritePerReply:
     def test_keep_alive_reads_pay_no_stall(self):
         """Stopwatch over a keep-alive ``repro.connect(url)``: point
         reads ≈ 0.3 ms and a 1 000-row slice (two wire ops) a few ms,
-        against 44 ms and 88 ms when every reply took two writes."""
+        against 44 ms and 88 ms when every reply took two writes.  The
+        fastest of three slices is asserted: a stall adds ≥ 88 ms to
+        each of them, host load only to some."""
         relations = {
             "R": {(i, i % 7) for i in range(1000)},
             "S": {(j, j * 2) for j in range(7)},
@@ -925,13 +927,15 @@ class TestOneWritePerReply:
                 start = time.perf_counter()
                 view[index]
                 samples.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            rows = list(view[:1000])
-            slice_s = time.perf_counter() - start
+            slices = []
+            for _slice in range(3):
+                start = time.perf_counter()
+                rows = list(view[:1000])
+                slices.append(time.perf_counter() - start)
+                assert len(rows) == 1000
             conn.close()
-        assert len(rows) == 1000
         assert statistics.median(samples) < 0.005
-        assert slice_s < 0.050
+        assert min(slices) < 0.050
 
 
 class TestShutdownWakesTheLoop:
