@@ -14,9 +14,13 @@ lexicographic order induced by a variable order ``L``:
 The counting forest is built by the execution engine active at
 construction time: the Python engine loops per row, the numpy engine
 lexsorts dictionary-encoded columns and takes one ``cumsum`` per bag —
-the resulting structure is identical.  :meth:`DirectAccess.answers_at`
-answers a whole batch of indices at once (vectorized under the numpy
-engine), for pagination and sampling workloads.
+the resulting structure is identical.  A window of consecutive
+answers — a page, a step-1 slice, iteration — is one descent to its
+first answer and then an odometer over the forest's groups, ``O(ℓ)``
+per further answer ([10]'s enumeration from access,
+:meth:`DirectAccess.answers_range`); a batch of arbitrary indices
+(:meth:`DirectAccess.answers_at` over a list, e.g. a sample) is
+resolved at once, vectorized under the numpy engine.
 
 Projected variables (conjunctive queries, Theorem 50) are supported when
 they form a suffix of the order: their bags contribute existence
@@ -26,6 +30,7 @@ once no matter how many extensions it has.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -203,9 +208,14 @@ class DirectAccess:
         #: whether it picks (and encodes) their values, not their keys,
         #: because one of them keys by another dictionary.
         self._levels = []
+        #: Per free level, the deepest level its interface reads (-1:
+        #: none) — the range walk looks its group up again only when a
+        #: level at or above that one stepped.
+        self._rekey_from = []
         for i, variable in enumerate(self._free_prefix):
             bag_index = self._indexes[i]
             sources = [self._position[v] for v in self._interface_vars[i]]
+            self._rekey_from.append(max(sources, default=-1))
             by_value = any(
                 self._indexes[j].dictionary is not bag_index.dictionary
                 for j in sources
@@ -342,30 +352,168 @@ class DirectAccess:
 
         Negative indices count from the end, like :meth:`__getitem__`.
         Raises :class:`~repro.errors.OutOfBoundsError` if any index
-        falls outside ``[-len, len)``.  Under the numpy engine a batch
-        of two or more is resolved level-synchronously with vectorized
-        binary searches, and a batch of one takes the scalar descent;
-        the result is identical to calling :meth:`answer_at` per index.
+        falls outside ``[-len, len)``.  A ``range`` of step ±1 is one
+        window walk (:meth:`answers_range`).  Under the numpy engine any
+        other batch of two or more is resolved level-synchronously with
+        vectorized binary searches, and a batch of one takes the scalar
+        descent; the result is identical to calling :meth:`answer_at`
+        per index.
         """
+        if self._is_window(indices):
+            free = self._free_prefix
+            return [dict(zip(free, row)) for row in self._walk(indices)]
+        checked = self._checked
         normalized: list[int] = []
         for requested in indices:
-            requested = int(requested)
-            index = requested + self._total if requested < 0 else requested
-            if index < 0 or index >= self._total:
-                raise OutOfBoundsError(
-                    f"index {requested} out of range "
-                    f"[-{self._total}, {self._total})"
-                )
-            normalized.append(index)
+            normalized.append(checked(int(requested)))
         counters = self._engine.counters
         counters.add("access_batches")
         counters.add("access_indices", len(normalized))
         return self._engine.batch_access(self, normalized)
 
+    def _checked(self, requested: int) -> int:
+        """``requested`` as an index in ``[0, len)`` (negative counts
+        from the end), or :class:`~repro.errors.OutOfBoundsError`
+        naming ``requested`` itself."""
+        index = requested + self._total if requested < 0 else requested
+        if index < 0 or index >= self._total:
+            raise OutOfBoundsError(
+                f"index {requested} out of range "
+                f"[-{self._total}, {self._total})"
+            )
+        return index
+
     def __getitem__(self, index: int) -> dict[str, object]:
-        if index < 0:
-            index += self._total
-        return self.answer_at(index)
+        index = self._checked(index)
+        self._engine.counters.add("answer_walks")
+        return self._walk_at(index)
+
+    # -- windows: one descent, then the odometer ---------------------------
+
+    def answers_range(self, start: int, stop: int) -> list[dict[str, object]]:
+        """The answers at ``start, …, stop - 1``: equal to
+        ``[self.answer_at(i) for i in range(start, stop)]``.
+
+        One descent to ``start`` (``O(ℓ log |D|)``), then ``O(ℓ)`` per
+        further answer ([10]'s enumeration from access).  Raises
+        :class:`~repro.errors.OutOfBoundsError` unless
+        ``0 <= start <= stop <= len``.
+        """
+        if not 0 <= start <= stop <= self._total:
+            raise OutOfBoundsError(
+                f"range [{start}, {stop}) out of range [0, {self._total}]"
+            )
+        return self.answers_at(range(start, stop))
+
+    def _is_window(self, indices) -> bool:
+        """Whether ``indices`` is a ``range`` of step ±1 within
+        ``[0, len)`` (anything else takes the per-index path, which
+        checks it and takes the engine batch)."""
+        return (
+            type(indices) is range
+            and indices.step in (1, -1)
+            and (
+                not indices
+                or 0 <= indices[0] < self._total
+                and 0 <= indices[-1] < self._total
+            )
+        )
+
+    def _walk(self, window: range) -> list[tuple]:
+        """The value tuples at a validated step-±1 ``window``, counted
+        as one access batch; a descending window walks ascending and
+        is reversed."""
+        counters = self._engine.counters
+        counters.add("access_batches")
+        counters.add("access_indices", len(window))
+        if window.step == 1:
+            return self._odometer(window.start, window.stop)
+        rows = self._odometer(window.stop + 1, window.start + 1)
+        rows.reverse()
+        return rows
+
+    def _odometer(self, start: int, stop: int) -> list[tuple]:
+        """The value tuples of the answers at ``start, …, stop - 1``
+        (``0 <= start <= stop <= len``).
+
+        Every candidate left in the forest has positive weight, so the
+        answer after the current one steps the deepest level whose
+        group has a next candidate and resets each level below to the
+        first candidate of its group; a level's group is looked up
+        again only when its interface reads a level that moved.  The
+        deepest level runs through a slice of its group under one
+        prefix.  All walk state lives in this call, so concurrent
+        readers of one structure never share it.
+        """
+        if start >= stop:
+            return []
+        levels = self._levels
+        if not levels:  # no free variable: the one empty answer
+            return [()]
+        rekey_from = self._rekey_from
+        keys: list = []
+        values: list = []
+        groups: list = []
+        firsts: list = []
+        positions: list = []
+        ends: list = []
+        domains: list = []
+        remaining, live = start, self._total
+        for _variable, bag_index, interface_of, by_value in levels:
+            interface = interface_of(values if by_value else keys)
+            key, value, remaining, live = bag_index.access_step(
+                interface, remaining, live
+            )
+            group, first, end, domain = bag_index.group_window(interface)
+            keys.append(key)
+            values.append(value)
+            groups.append(group)
+            firsts.append(first)
+            positions.append(bisect_left(group, key, first, end))
+            ends.append(end)
+            domains.append(domain)
+        last = len(levels) - 1
+        rows: list[tuple] = []
+        left = stop - start
+        while True:
+            prefix = tuple(values[:last])
+            position = positions[last]
+            run = groups[last][position : min(ends[last], position + left)]
+            domain = domains[last]
+            if domain is None:
+                rows += [prefix + (key,) for key in run]
+            else:
+                rows += [prefix + (domain[key],) for key in run]
+            left -= len(run)
+            if not left:
+                return rows
+            level = last - 1
+            while positions[level] + 1 == ends[level]:
+                level -= 1
+            position = positions[level] + 1
+            positions[level] = position
+            keys[level] = key = groups[level][position]
+            domain = domains[level]
+            values[level] = key if domain is None else domain[key]
+            for below in range(level + 1, last + 1):
+                if rekey_from[below] >= level:
+                    _variable, bag_index, interface_of, by_value = (
+                        levels[below]
+                    )
+                    group, first, ends[below], domain = (
+                        bag_index.group_window(
+                            interface_of(values if by_value else keys)
+                        )
+                    )
+                    groups[below], firsts[below], domains[below] = (
+                        group, first, domain
+                    )
+                else:
+                    group, first = groups[below], firsts[below]
+                    domain = domains[below]
+                positions[below] = first
+                keys[below] = key = group[first]
+                values[below] = key if domain is None else domain[key]
 
     def tuple_at(self, index: int) -> tuple:
         """The ``index``-th answer as a tuple over the free order prefix."""
@@ -377,10 +525,14 @@ class DirectAccess:
     ) -> list[tuple]:
         """Batch :meth:`tuple_at`: tuples over the free prefix, in order.
 
-        One engine batch (vectorized under numpy) instead of one access
-        walk per index — the task layer (:mod:`repro.core.tasks`) routes
-        boxplots, pages, and samples through this.
+        A ``range`` of step ±1 is one window walk
+        (:meth:`answers_range`); any other batch is one engine batch
+        (vectorized under numpy) — the task layer
+        (:mod:`repro.core.tasks`) routes pages through the first and
+        boxplots and samples through the second.
         """
+        if self._is_window(indices):
+            return self._walk(indices)
         free = self._free_prefix
         return [
             tuple(answer[v] for v in free)
@@ -433,16 +585,16 @@ class DirectAccess:
         """The variables of returned answers, in order position."""
         return tuple(self._free_prefix)
 
-    #: Batch size of :meth:`__iter__`: large enough to amortize the
-    #: vectorized batch dispatch, small enough to stay O(1)-ish memory.
+    #: Window size of :meth:`__iter__`: one descent per window, and
+    #: O(1)-ish memory.
     ITER_CHUNK = 1024
 
     def __iter__(self) -> Iterator[dict[str, object]]:
         """Ordered enumeration by consecutive accesses ([10]'s reduction).
 
-        Iterates in chunked :meth:`answers_at` batches so enumeration is
-        vectorized under the numpy engine while staying lazy: only
-        :attr:`ITER_CHUNK` answers are materialized at a time.
+        Walks :attr:`ITER_CHUNK`-answer windows (:meth:`answers_range`),
+        so enumeration stays lazy at ``O(ℓ)`` per answer after one
+        descent per window.
         """
         for start in range(0, self._total, self.ITER_CHUNK):
             stop = min(start + self.ITER_CHUNK, self._total)

@@ -3,9 +3,12 @@
 Enumeration lists all answers; its efficiency is measured by the
 *preprocessing time* (before the first answer) and the *delay* between
 consecutive answers. Direct access yields ordered enumeration by
-consecutive accesses; this module wraps both the direct-access-backed
-enumerator and the materializing baseline behind one instrumented
-interface so benchmarks and tests can compare their profiles.
+consecutive accesses — after one descent to the first answer, each next
+answer is an ``O(ℓ)`` odometer step over the counting forest
+(:meth:`~repro.core.access.DirectAccess.answers_range`); this module
+wraps both the direct-access-backed enumerator and the materializing
+baseline behind one instrumented interface so benchmarks and tests can
+compare their profiles.
 """
 
 from __future__ import annotations
@@ -50,17 +53,16 @@ class DelayInstrumentedEnumerator:
 def ranked_enumerator(query, order, database):
     """Ordered enumeration through direct access.
 
-    Linear-ish preprocessing on tractable pairs, logarithmic delay —
-    the profile Theorem 1 guarantees; answers arrive in ``order``-lex
-    order.
+    Linear-ish preprocessing on tractable pairs, then the window walk:
+    one ``O(ℓ log |D|)`` descent per window and ``O(ℓ)`` per further
+    answer, within the logarithmic delay Theorem 1 guarantees; answers
+    arrive in ``order``-lex order.
     """
     from repro.core.access import DirectAccess
+    from repro.core.tasks import enumerate_in_order
 
     def setup():
-        access = DirectAccess(query, order, database)
-        return (
-            access.tuple_at(index) for index in range(len(access))
-        )
+        return enumerate_in_order(DirectAccess(query, order, database))
 
     return DelayInstrumentedEnumerator(setup)
 

@@ -4,11 +4,14 @@ Direct access turns ``Q(D)`` into a virtual sorted array, which makes
 order statistics, boxplots, uniform sampling without repetition, and
 paginated/ranked retrieval logarithmic-per-item after preprocessing.
 
-Every multi-index kernel here resolves its whole index set through the
-batch API (:meth:`~repro.core.access.DirectAccess.tuples_at` /
-``answers_at``) in one call instead of one access walk per index — the
-numpy engine then answers the batch level-synchronously with vectorized
-binary searches.  Access structures that only implement the scalar
+Every multi-index kernel here resolves its whole index set in one call
+to the batch API (:meth:`~repro.core.access.DirectAccess.tuples_at`),
+and the shape of the index set picks the lowering.  A page or an
+ordered enumeration passes a ``range``: one descent to its first answer
+and an ``O(ℓ)`` odometer step per further answer.  A boxplot or a
+sample passes a list of scattered indices: one engine batch, which the
+numpy engine answers level-synchronously with vectorized binary
+searches.  Access structures that only implement the scalar
 :class:`~repro.core.counting.SupportsDirectAccess` protocol (e.g. the
 Proposition 35 reductions) degrade transparently to per-index calls.
 
@@ -26,7 +29,9 @@ from repro.core.counting import SupportsDirectAccess
 from repro.errors import OutOfBoundsError
 
 
-def _tuples_at(access: SupportsDirectAccess, indices: list[int]) -> list[tuple]:
+def _tuples_at(
+    access: SupportsDirectAccess, indices: list[int] | range
+) -> list[tuple]:
     """Batch resolve ``indices``, via ``tuples_at`` when available."""
     batch = getattr(access, "tuples_at", None)
     if batch is not None:
@@ -116,19 +121,18 @@ def page(
     n = len(access)
     start = page_number * page_size
     stop = min(start + page_size, n)
-    return _tuples_at(access, list(range(start, stop)))
+    return _tuples_at(access, range(start, stop))
 
 
 def enumerate_in_order(access: SupportsDirectAccess, chunk: int = 1024):
     """Full ordered enumeration by consecutive accesses ([10]).
 
-    Lazily yields tuples, resolving ``chunk`` indices per batch so the
-    numpy engine vectorizes the scan without materializing the output.
+    Lazily yields tuples, resolving ``chunk`` consecutive indices per
+    window: one descent per window and ``O(ℓ)`` per further answer,
+    without materializing the output.
     """
     if chunk <= 0:
         raise ValueError(f"chunk size must be positive, got {chunk}")
     n = len(access)
     for start in range(0, n, chunk):
-        yield from _tuples_at(
-            access, list(range(start, min(start + chunk, n)))
-        )
+        yield from _tuples_at(access, range(start, min(start + chunk, n)))

@@ -116,12 +116,13 @@ class BagIndex:
     candidate ``j``).  ``totals[s]`` is the group's total weight
     ``W_i(s)``.  Zero-weight candidates are dropped.
 
-    Every bag index answers the calls the scalar descent and a Python
-    parent build read: :meth:`total` (at interface values),
-    :meth:`encode`, :meth:`access_step` and :meth:`rank_step`.  A step
-    takes the interface as a tuple of keys and returns the key it
-    chose, so the walk carries keys down; a key is the value itself
-    here, and ``dictionary`` / ``aux`` are ``None``.  The numpy
+    Every bag index answers the calls the scalar descent, the range
+    walk and a Python parent build read: :meth:`total` (at interface
+    values), :meth:`encode`, :meth:`access_step`, :meth:`rank_step`
+    and :meth:`group_window`.  A step takes the interface as a tuple
+    of keys and returns the key it chose, so the walk carries keys
+    down; a key is the value itself here, and ``dictionary`` / ``aux``
+    are ``None``.  The numpy
     engine's index (:class:`~repro.engine.numpy_engine.CsrBagIndex`)
     keys by codes of its ``dictionary`` and is its own ``aux``.
     """
@@ -175,6 +176,13 @@ class BagIndex:
         j = bisect_right(cumulative, remaining // others) - 1
         value, before = values[j], cumulative[j]
         return value, value, remaining - others * before, others * weights[j]
+
+    def group_window(self, interface):
+        """``(keys, lo, hi, domain)``: the candidate keys of the group
+        at ``interface`` are ``keys[lo:hi]``, in order, and a key's
+        value is ``domain[key]`` (``domain`` ``None``: the key itself)."""
+        values = self.groups[interface][0]
+        return values, 0, len(values), None
 
     def rank_step(self, interface, value, rank: int, live: int):
         """One level of :func:`rank_walk`: ``(key, rank, live)`` past

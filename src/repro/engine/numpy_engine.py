@@ -143,7 +143,9 @@ class CsrBagIndex:
     weights to object dtype.  The :class:`~repro.engine.base.BagIndex`
     calls key by codes of ``dictionary``: a step bisects
     ``group_codes``, then a window of ``cum_before`` (access) or
-    ``values_flat`` (rank), and decodes one value.
+    ``values_flat`` (rank), and decodes one value; a group window is
+    the group's slice of ``values_flat``, decoded through
+    ``dictionary.values``.
     """
 
     __slots__ = (
@@ -226,6 +228,14 @@ class CsrBagIndex:
         return (
             code, self._domain[code], remaining - others * cumulative[j],
             others * weights[j],
+        )
+
+    def group_window(self, interface):
+        offsets = self._scalars[0]
+        group = self._group(interface)
+        return (
+            self._scalars[1], offsets[group], offsets[group + 1],
+            self._domain,
         )
 
     def rank_step(self, interface, value, rank: int, live: int):

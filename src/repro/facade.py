@@ -301,7 +301,7 @@ class WindowedAnswers(Sequence):
     (inverse access in the un-windowed sequence, ``None`` for
     non-answers), and :meth:`_subview` (rewrap a narrowed ``range``
     window) — and inherit the whole ``Sequence`` surface: negative
-    indices, lazy slice sub-views (steps included), chunked
+    indices, lazy slice sub-views (steps included), windowed
     ``__iter__``/``__reversed__``, :meth:`rank` / ``in`` /
     :meth:`index` / :meth:`count`, and the order-statistics task layer
     (:meth:`median`, :meth:`quantile`, :meth:`page`, :meth:`sample`,
@@ -318,8 +318,9 @@ class WindowedAnswers(Sequence):
 
     # -- subclass primitives -----------------------------------------------
 
-    def _resolve(self, underlying: list[int]) -> list[tuple]:
-        """Answer tuples at the given *underlying* (pre-window) indices."""
+    def _resolve(self, underlying: list[int] | range) -> list[tuple]:
+        """Answer tuples at the given *underlying* (pre-window) indices
+        (a ``range`` for a run of consecutive positions of the view)."""
         raise NotImplementedError
 
     def _rank_underlying(self, row: tuple) -> int | None:
@@ -359,9 +360,17 @@ class WindowedAnswers(Sequence):
         return self[index]
 
     def tuples_at(self, indices) -> list[tuple]:
-        """Batch positional access: one backend batch for ``indices``."""
+        """Batch positional access: one backend batch for ``indices``
+        (an in-bounds ``range`` stays a ``range`` of underlying indices)."""
         window = self._window
         n = len(window)
+        if type(indices) is range and indices and (
+            0 <= indices[0] < n and 0 <= indices[-1] < n
+        ):
+            step = window.step * indices.step
+            return self._resolve(
+                range(window[indices[0]], window[indices[-1]] + step, step)
+            )
         underlying = []
         for index in indices:
             index = operator.index(index)
@@ -376,8 +385,7 @@ class WindowedAnswers(Sequence):
     def __iter__(self) -> Iterator[tuple]:
         window = self._window
         for start in range(0, len(window), self.ITER_CHUNK):
-            chunk = window[start : start + self.ITER_CHUNK]
-            yield from self._resolve(list(chunk))
+            yield from self._resolve(window[start : start + self.ITER_CHUNK])
 
     def __reversed__(self) -> Iterator[tuple]:
         return iter(self[::-1])
@@ -467,7 +475,7 @@ class WindowedAnswers(Sequence):
         return tasks.sample(self, k, seed)
 
     def to_list(self) -> list[tuple]:
-        """Materialize the view (chunked batches under the hood)."""
+        """Materialize the view (one window walk per chunk)."""
         return list(self)
 
 
@@ -483,11 +491,14 @@ class AnswerView(WindowedAnswers):
     powers ``in`` and :meth:`index` without any enumeration, so
     ``view[view.rank(t)] == t`` round-trips.
 
-    Iteration (and ``reversed``) resolves indices in chunked batches —
-    vectorized level-synchronously under the numpy engine — while
-    staying lazy.  The order-statistics task layer lives here too:
-    :meth:`median`, :meth:`quantile`, :meth:`page`, :meth:`sample`,
-    :meth:`boxplot` all delegate to the batch kernels.  (The window
+    Iteration (and ``reversed``), step-1 slices and :meth:`page` walk
+    windows of consecutive answers — one descent to a window's first
+    answer, then ``O(ℓ)`` per further answer — while staying lazy.
+    The order-statistics task layer lives here too: :meth:`median`,
+    :meth:`quantile`, :meth:`page`, :meth:`sample`, :meth:`boxplot`
+    delegate to the task kernels, and scattered batches (samples,
+    boxplots, ``tuples_at`` over a list) take the engine's batch
+    kernel, vectorized level-synchronously under numpy.  (The window
     and inverse-access laws themselves live in
     :class:`WindowedAnswers`, shared with the HTTP client's remote
     view.)
@@ -578,7 +589,7 @@ class AnswerView(WindowedAnswers):
 
     # -- the windowed-Sequence primitives ----------------------------------
 
-    def _resolve(self, underlying: list[int]) -> list[tuple]:
+    def _resolve(self, underlying: list[int] | range) -> list[tuple]:
         self._check_fresh()
         return self._access.tuples_at(underlying)
 

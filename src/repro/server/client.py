@@ -478,7 +478,7 @@ class RemoteAnswerView(WindowedAnswers):
 
     # -- the windowed-Sequence primitives ----------------------------------
 
-    def _resolve(self, underlying: list[int]) -> list[tuple]:
+    def _resolve(self, underlying: list[int] | range) -> list[tuple]:
         # Chunked so an arbitrarily large batch (tuples_at over a huge
         # view, sample(k) with big k) can never outgrow the server's
         # request-body cap — each chunk is one bounded access op.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import zlib
 
 import pytest
@@ -847,9 +848,10 @@ class _CountingNumpy:
 @needs_numpy
 def test_point_reads_never_enter_the_vector_kernel(monkeypatch):
     """Tripwire: a warm ``view[i]`` / ``view[-1]`` / ``view.rank(t)``
-    is one scalar descent — zero ``searchsorted`` calls — while a page
-    still takes the vector kernel, and the per-batch counters move by
-    exactly one per point read."""
+    is one scalar descent and a page one window walk — zero
+    ``searchsorted`` calls — while a scattered batch still takes the
+    vector kernel, and the per-batch counters move by exactly one per
+    point read."""
     import numpy as np
 
     from repro import connect
@@ -883,7 +885,232 @@ def test_point_reads_never_enter_the_vector_kernel(monkeypatch):
         }
         assert sum(moved.values()) == 1, moved
     assert view.page(1, 20) == [view[i] for i in range(20, 40)]
+    assert shim.searchsorted_calls == 0
+    assert view.tuples_at([31, 7]) == [view[31], view[7]]
     assert shim.searchsorted_calls >= 1
+
+
+# -- windows: one descent, then the odometer -------------------------------
+
+
+def _star_database(rows: int) -> dict:
+    """``R(x, y), S(y, z)`` with ``3 · rows`` answers, 13 values of ``y``."""
+    return {
+        "R": {(i, i % 13) for i in range(rows)},
+        "S": {(j, k) for j in range(13) for k in range(3)},
+    }
+
+
+_BAG_INDEX_CLASSES = {
+    "python": ("repro.engine.base", "BagIndex"),
+    "numpy": ("repro.engine.numpy_engine", "CsrBagIndex"),
+}
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_a_window_is_one_descent(engine, monkeypatch):
+    """Tripwire: a k-row window — a page, a step-1 slice, a reversed
+    one — makes one ``access_step`` per free level (one root-to-leaf
+    descent) whatever k is, at |D| and at 8·|D|, and under numpy no
+    ``searchsorted`` call at all."""
+    import importlib
+
+    from repro import connect
+
+    module_name, class_name = _BAG_INDEX_CLASSES[engine]
+    module = importlib.import_module(module_name)
+    bag_index = getattr(module, class_name)
+    steps = [0]
+
+    def counted(self, *args, _step=bag_index.access_step):
+        steps[0] += 1
+        return _step(self, *args)
+
+    monkeypatch.setattr(bag_index, "access_step", counted)
+    shim = None
+    if engine == "numpy":
+        import numpy as np
+
+        shim = _CountingNumpy(np)
+        monkeypatch.setattr(module, "np", shim)
+    for rows in (400, 3200):
+        view = connect(_star_database(rows), engine=engine).prepare(
+            "Q(x, y, z) :- R(x, y), S(y, z)", order=["y", "x", "z"]
+        )
+        n = len(view)
+        if shim is not None:
+            shim.searchsorted_calls = 0  # the build's own calls
+        for k in (1, 20, 1000):
+            windows = {
+                "first page": lambda: view.page(0, k),
+                "middle page": lambda: view.page(n // k // 2, k),
+                "last page": lambda: view.page(n // k - 1, k),
+                "slice": lambda: view[(n - k) // 3 : (n - k) // 3 + k]
+                .to_list(),
+                "tail slice": lambda: view[-k:].to_list(),
+                "reversed slice": lambda: view[n - 1 : n - k - 1 : -1]
+                .to_list(),
+            }
+            for label, window in windows.items():
+                steps[0] = 0
+                assert len(window()) == k, label
+                assert steps[0] == 3, (rows, k, label, steps[0])
+        if shim is not None:
+            assert shim.searchsorted_calls == 0
+
+
+def _range_law(access, view) -> None:
+    """``answers_range`` and the view's windows equal per-index reads:
+    every ``a <= b`` up to 100 answers, beyond that short windows
+    starting or ending on every level boundary (where a level above the
+    last changes value)."""
+    n = len(access)
+    points = [access.answer_at(i) for i in range(n)]
+    rows = [tuple(point.values()) for point in points]
+    if n <= 100:
+        windows = [(a, b) for b in range(n + 1) for a in range(b + 1)]
+    else:
+        cuts = {0, n} | {
+            i for i in range(1, n) if rows[i][:-1] != rows[i - 1][:-1]
+        }
+        windows = [
+            window
+            for cut in cuts
+            for width in (0, 1, 2, 17)
+            for window in (
+                (cut, min(cut + width, n)), (max(cut - width, 0), cut)
+            )
+        ]
+    for a, b in windows:
+        assert access.answers_range(a, b) == points[a:b], (a, b)
+        assert view[a:b].to_list() == rows[a:b], (a, b)
+    assert list(access) == points
+    assert list(view) == rows
+    assert list(reversed(view)) == rows[::-1]
+    assert view.tuples_at(range(n - 1, -1, -1)) == rows[::-1]
+    assert view[::-1].to_list() == rows[::-1]
+
+
+def _view_over(engine, query, order, database, projected=frozenset()):
+    from repro import connect
+
+    with use_engine(engine):
+        access = DirectAccess(query, order, database, projected=projected)
+    view = connect(database, engine=engine).prepare(
+        query, order=list(order), projected=projected
+    )
+    return access, view
+
+
+@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize(
+    "case", list(_point_read_cases()), ids=lambda case: case[0]
+)
+def test_range_walk_equals_point_reads(engine, case, monkeypatch):
+    """The range law on the catalog, self-joins and projected suffixes,
+    with windows small enough that iteration crosses chunks."""
+    from repro.facade import WindowedAnswers
+
+    monkeypatch.setattr(DirectAccess, "ITER_CHUNK", 7)
+    monkeypatch.setattr(WindowedAnswers, "ITER_CHUNK", 7)
+    _label, query, order, database, projected = case
+    _range_law(*_view_over(engine, query, order, database, projected))
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_range_walk_equals_point_reads_on_wide_bags(engine):
+    """The range law where bags outgrow the input: the ι = 3/2
+    triangle grid and the ι = 2 bad-order star."""
+    from repro.data.generators import agm_worstcase_triangle_database
+    from repro.query.catalog import (
+        star_bad_order,
+        star_query,
+        triangle_query,
+    )
+
+    grid = Database({
+        "R1": {(a, b) for a in range(4) for b in range(6)},
+        "R2": {(a, b) for a in range(4) for b in range(6)},
+    })
+    cases = [
+        (triangle_query(), VariableOrder(["x1", "x2", "x3"]),
+         agm_worstcase_triangle_database(6)),
+        (star_query(2), star_bad_order(2), grid),
+    ]
+    for query, order, database in cases:
+        _range_law(*_view_over(engine, query, order, database))
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_range_walk_on_empty_windows(engine):
+    query = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
+    order = VariableOrder(["x", "y", "z"])
+    empty, view = _view_over(
+        engine, query, order, Database({"R": {(1, 2)}, "S": {(3, 4)}})
+    )
+    assert empty.answers_range(0, 0) == []
+    assert list(empty) == list(view) == list(reversed(view)) == []
+    assert view.page(0, 20) == view[0:5].to_list() == []
+    with pytest.raises(OutOfBoundsError):
+        empty.answers_range(0, 1)
+    access, _ = _view_over(
+        engine, query, order, Database({"R": {(1, 2)}, "S": {(2, 4)}})
+    )
+    assert access.answers_range(1, 1) == access.answers_range(0, 0) == []
+    for start, stop in [(-1, 1), (1, 0), (0, 2)]:
+        with pytest.raises(OutOfBoundsError):
+            access.answers_range(start, stop)
+
+
+def test_out_of_range_names_the_requested_index():
+    """``access[i]`` and ``answers_at([i])`` reject an index with the
+    same message, naming the index the caller passed."""
+    query = parse_query("Q(x) :- R(x)")
+    access = DirectAccess(
+        query, VariableOrder(["x"]), Database({"R": {(1,), (2,)}})
+    )
+    for index in (-5, -3, 2, 9):
+        message = f"index {index} out of range [-2, 2)"
+        with pytest.raises(OutOfBoundsError, match=re.escape(message)):
+            access[index]
+        with pytest.raises(OutOfBoundsError, match=re.escape(message)):
+            access.answers_at([index])
+    assert access[-2] == access.answers_at([-2])[0] == {"x": 1}
+
+
+@needs_numpy
+def test_range_walk_over_object_dtype_bags():
+    """Windows across the widened (object-dtype) top bags, where counts
+    pass int64, equal the per-index reads of both engines."""
+    m, levels = 4, 31
+    variables = [f"v{i}" for i in range(levels)]
+    atoms = ", ".join(
+        f"R{i}({variables[i]}, {variables[i + 1]})"
+        for i in range(levels - 1)
+    )
+    query = parse_query(f"Q({', '.join(variables)}) :- {atoms}")
+    pairs = {(a, b) for a in range(m) for b in range(m)}
+    database = Database(
+        {f"R{i}": Relation(set(pairs), arity=2) for i in range(levels - 1)}
+    )
+    order = VariableOrder(variables)
+    accesses = {}
+    for engine in ("python", "numpy"):
+        with use_engine(engine):
+            accesses[engine] = DirectAccess(query, order, database)
+    total = len(accesses["numpy"])
+    assert total == 4**31
+    starts = [0, 4**16 - 9, 2**62 - 2**40 - 5, total // 2 - 33, total - 50]
+    for start in starts:
+        expected = accesses["python"].answers_at(range(start, start + 50))
+        assert expected == [
+            accesses["python"].answer_at(i) for i in range(start, start + 50)
+        ]
+        for access in accesses.values():
+            assert access.answers_range(start, start + 50) == expected
+            assert access.tuples_at(range(start + 49, start - 1, -1)) == [
+                tuple(answer.values()) for answer in reversed(expected)
+            ]
 
 
 @needs_numpy

@@ -13,12 +13,14 @@ from statistics import linear_regression
 
 import pytest
 
+import repro.core.access as access_module
 from repro.core.access import DirectAccess
 from repro.core.counting import CountingFromDirectAccess, PrefixConstraint
 from repro.core.decomposition import (
     DisruptionFreeDecomposition,
     incompatibility_number,
 )
+from repro.core.enumeration import ranked_enumerator
 from repro.core.htw import fractional_hypertree_width
 from repro.core.orderless import OrderlessFourCycleAccess
 from repro.core.preprocessing import Preprocessing
@@ -346,6 +348,41 @@ def test_access_bisects_per_level_at_any_size(engine, monkeypatch):
     for levels, counts in seen.items():
         (count,) = counts  # every index, at |D| and at 8·|D|
         assert levels <= count <= 2 * levels, (levels, count)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_enumeration_delay_is_an_odometer_step(engine, monkeypatch):
+    """[10] from Theorem 1: ordered enumeration is one descent per
+    window, then an odometer step per answer — a full enumeration of
+    the 2-path bisects at most twice per level per answer, at |D| as at
+    8·|D|, and yields the materialised sort."""
+    modules = {
+        importlib.import_module(BAG_INDEX_MODULES[engine]), access_module
+    }
+    calls = Counter()
+    for module in modules:
+        for name in ("bisect_left", "bisect_right"):
+            if hasattr(module, name):
+                def counted(*args, _bisect=getattr(module, name)):
+                    calls["bisect"] += 1
+                    return _bisect(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    with use_engine(engine) as active:
+        for rows in (300, 2400):
+            query, database = path_query(2), functional_path_database(
+                2, rows, seed=5
+            )
+            enumerator = ranked_enumerator(query, X3, database)
+            answers = []
+            calls.clear()
+            walks = _delta(active.counters, lambda: answers.extend(enumerator))
+            assert answers == sorted(evaluate(query, database, list(X3)).rows)
+            assert calls["bisect"] <= 2 * 3 * len(answers), calls
+            windows = -(-len(answers) // DirectAccess.ITER_CHUNK)
+            assert walks == {
+                "access_batches": windows, "access_indices": len(answers)
+            }
 
 
 def _delta(counters, action) -> Counter:
